@@ -91,7 +91,7 @@ func TestChaosDifferentialByteIdentityUnderFaults(t *testing.T) {
 	// The run must actually have exercised the machinery under test: the
 	// plan fired (drops from the blackhole, injected errors from w2) and
 	// the router retried around the damage.
-	if r := c.Router.Stats().Retries; r == 0 {
+	if r := c.Router.Metrics().Retries.Load(); r == 0 {
 		t.Fatal("no router retries recorded under a plan that blackholes a worker")
 	}
 	drops := c.RouterInjector.Stats().Drops
@@ -207,8 +207,7 @@ func TestHedgedRequestFailsOverSlowPrimary(t *testing.T) {
 	if shard := hdr.Get("X-Regcoal-Shard"); shard != seq[1] {
 		t.Fatalf("answer attributed to shard %s, want standby %s", shard, seq[1])
 	}
-	st := router.Stats()
-	if st.Hedges == 0 {
+	if router.Metrics().Hedges.Load() == 0 {
 		t.Fatal("no hedge recorded for a 400ms owner under a 25ms hedge threshold")
 	}
 	if owner.solves.Load() == 0 {
@@ -238,8 +237,8 @@ func TestRouterRetryHedgeMetricsLintClean(t *testing.T) {
 			t.Fatalf("status %d: %s", status, resp)
 		}
 	}
-	if st := router.Stats(); st.Retries == 0 {
-		t.Fatalf("no retries recorded against an always-500 worker: %+v", st)
+	if m := router.Metrics(); m.Retries.Load() == 0 {
+		t.Fatalf("no retries recorded against an always-500 worker: %+v", m)
 	}
 
 	status, _, metrics := get(t, front.URL+"/metrics")
@@ -323,7 +322,7 @@ func TestReadinessProbeCachedPerWindow(t *testing.T) {
 	if total := a.readyz.Load() + b.readyz.Load(); total == 0 {
 		t.Fatal("no probes at all; the readiness path did not run")
 	}
-	if st := router.Stats(); st.ReadyProbes != a.readyz.Load()+b.readyz.Load() {
-		t.Fatalf("router counted %d probes, workers received %d", st.ReadyProbes, a.readyz.Load()+b.readyz.Load())
+	if probes := router.Metrics().ReadyProbes.Load(); probes != a.readyz.Load()+b.readyz.Load() {
+		t.Fatalf("router counted %d probes, workers received %d", probes, a.readyz.Load()+b.readyz.Load())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"regcoal/internal/cluster"
 	"regcoal/internal/corpus"
 	"regcoal/internal/graph"
+	"regcoal/internal/obs"
 	"regcoal/internal/service"
 )
 
@@ -173,7 +174,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 	ring := c.Router.Ring()
 	peerFillsBefore := int64(0)
 	for _, w := range c.Workers {
-		peerFillsBefore += w.Worker.Stats().PeerFills
+		peerFillsBefore += w.Worker.Metrics().PeerFills.Load()
 	}
 	for _, inst := range insts {
 		body := requestBody(t, inst.File)
@@ -201,7 +202,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 	}
 	peerFillsAfter := int64(0)
 	for _, w := range c.Workers {
-		peerFillsAfter += w.Worker.Stats().PeerFills
+		peerFillsAfter += w.Worker.Metrics().PeerFills.Load()
 	}
 	if peerFillsAfter <= peerFillsBefore {
 		t.Fatalf("no peer fills recorded across the non-owner pass (before %d, after %d)", peerFillsBefore, peerFillsAfter)
@@ -316,11 +317,9 @@ func TestClusterSingleflightCollapses64ConcurrentDuplicates(t *testing.T) {
 	solves := int64(0)
 	collapses := int64(0)
 	for _, w := range c.Workers {
-		st := w.Service.StatsSnapshot()
-		for _, wins := range st.StrategyWins {
-			solves += wins
-		}
-		collapses += st.SingleflightCollapses
+		m := w.Service.Metrics()
+		m.StrategyWins.Each(func(_ string, wins *obs.Counter) { solves += wins.Load() })
+		collapses += m.SingleflightCollapses.Load()
 	}
 	if solves != 1 {
 		t.Fatalf("cluster ran %d portfolio races for %d identical requests, want exactly 1", solves, n)
@@ -383,15 +382,14 @@ func TestPeerFillServesWithoutRecompute(t *testing.T) {
 	if hit := hdr.Get("X-Regcoal-Cache"); hit != "hit" {
 		t.Fatalf("non-owner disposition %q, want hit", hit)
 	}
-	if fills := otherW.Worker.Stats().PeerFills; fills != 1 {
+	if fills := otherW.Worker.Metrics().PeerFills.Load(); fills != 1 {
 		t.Fatalf("non-owner recorded %d peer fills, want 1", fills)
 	}
-	st := otherW.Service.StatsSnapshot()
-	for name, wins := range st.StrategyWins {
-		if wins > 0 {
-			t.Fatalf("non-owner computed (%s won %d races) despite peer fill", name, wins)
+	otherW.Service.Metrics().StrategyWins.Each(func(name string, wins *obs.Counter) {
+		if wins.Load() > 0 {
+			t.Fatalf("non-owner computed (%s won %d races) despite peer fill", name, wins.Load())
 		}
-	}
+	})
 
 	// A relabeled duplicate of the now-seeded instance hits the
 	// non-owner's local cache in its own numbering.
@@ -531,7 +529,7 @@ func TestAdmissionHeavyLaneRejectsWhenFull(t *testing.T) {
 	if err := <-holder; err != nil {
 		t.Fatal(err)
 	}
-	if rejects := w.Stats().HeavyLaneRejects; rejects != 1 {
+	if rejects := w.Metrics().LaneRejects.With("heavy").Load(); rejects != 1 {
 		t.Fatalf("heavy lane rejects %d, want 1", rejects)
 	}
 
@@ -598,7 +596,9 @@ func TestClusterSmokeBatchByteIdentical(t *testing.T) {
 	for i := range breq.Items {
 		owners[ring.Owner(service.RoutingHash(&breq.Items[i], 200000))] = true
 	}
-	if shards := c.Router.Stats().PerShard; len(shards) != len(owners) {
+	var shards []string
+	c.Router.Metrics().ShardRequests.Each(func(node string, _ *obs.Counter) { shards = append(shards, node) })
+	if len(shards) != len(owners) {
 		t.Fatalf("batch touched %d shards, ring expects %d: %v", len(shards), len(owners), shards)
 	}
 }

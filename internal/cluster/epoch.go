@@ -44,7 +44,7 @@ func (w *Worker) checkEpoch(rw http.ResponseWriter, r *http.Request) bool {
 	if got == view.Epoch {
 		return true
 	}
-	w.epochRejects.Add(1)
+	w.m.EpochRejects.Inc()
 	writeStaleEpoch(rw, got, view)
 	return false
 }
@@ -136,7 +136,7 @@ func (w *Worker) adoptTopology(epoch uint64, nodes []string) {
 	if !changed {
 		return
 	}
-	w.epochAdoptions.Add(1)
+	w.m.EpochAdoptions.Inc()
 	w.startHandoff(old, installed)
 }
 
@@ -151,7 +151,7 @@ func (w *Worker) handleInternalTopology(rw http.ResponseWriter, r *http.Request)
 	}
 	switch r.Method {
 	case http.MethodGet:
-		w.writeJSON(rw, http.StatusOK, w.topo.View().Wire())
+		w.svc.WriteJSON(rw, http.StatusOK, w.topo.View().Wire())
 	case http.MethodPost:
 		var wire TopologyWire
 		dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
@@ -166,7 +166,7 @@ func (w *Worker) handleInternalTopology(rw http.ResponseWriter, r *http.Request)
 		}
 		view := w.topo.View()
 		if wire.Epoch < view.Epoch {
-			w.epochRejects.Add(1)
+			w.m.EpochRejects.Inc()
 			writeStaleEpoch(rw, wire.Epoch, view)
 			return
 		}
@@ -184,7 +184,7 @@ func (w *Worker) HandoffWait(ctx context.Context) error {
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if w.handoffActive.Load() == 0 {
+		if w.m.HandoffActive.Load() == 0 {
 			return nil
 		}
 		select {

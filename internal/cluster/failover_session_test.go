@@ -137,10 +137,10 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 				}
 			}
 
-			if rebuilds := secondaryW.Worker.Stats().SessionRebuilds; rebuilds != 1 {
+			if rebuilds := secondaryW.Worker.Metrics().Rebuilds.Load(); rebuilds != 1 {
 				t.Fatalf("secondary rebuilt the session %d times, want exactly 1", rebuilds)
 			}
-			if r := c.Router.Stats().Retries; r == 0 {
+			if r := c.Router.Metrics().Retries.Load(); r == 0 {
 				t.Fatal("no router retries recorded across a primary death")
 			}
 

@@ -65,10 +65,10 @@ func (w *Worker) startHandoff(old, next *TopologyView) {
 		// not be cut short by this one's timer.
 		w.prev.CompareAndSwap(old, nil)
 	})
-	w.handoffRounds.Add(1)
-	w.handoffActive.Add(1)
+	w.m.HandoffRounds.Inc()
+	w.m.HandoffActive.Add(1)
 	go func() {
-		defer w.handoffActive.Add(-1)
+		defer w.m.HandoffActive.Add(-1)
 		w.runHandoff(old, next)
 	}()
 }
@@ -107,7 +107,7 @@ func (w *Worker) runHandoff(old, next *TopologyView) {
 	}
 	retry := w.streamHandoff(pending, interval)
 	retry = w.streamHandoff(retry, interval)
-	w.handoffErrors.Add(int64(len(retry)))
+	w.m.HandoffErrors.Add(int64(len(retry)))
 }
 
 // movedOwners returns the members of hash's new replica set that were
@@ -147,7 +147,7 @@ func (w *Worker) streamHandoff(pending []handoffPush, interval time.Duration) []
 		if p.rec != nil {
 			err = w.pushSessionExport(p.peer, p.rec.rec)
 			if err == nil {
-				w.handoffSessions.Add(1)
+				w.m.HandoffSessions.Inc()
 			}
 		} else {
 			err = w.pushHandoffEntry(p.peer, p.key)
@@ -182,8 +182,8 @@ func (w *Worker) pushHandoffEntry(peer, key string) error {
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("handoff push %s to %s: status %d", key, peer, resp.StatusCode)
 	}
-	w.handoffEntries.Add(1)
-	w.handoffBytes.Add(int64(len(data)))
+	w.m.HandoffEntries.Inc()
+	w.m.HandoffBytes.Add(int64(len(data)))
 	return nil
 }
 
@@ -260,10 +260,10 @@ func (w *Worker) onSessionEvict(id string) {
 				continue
 			}
 			if err := w.pushSessionExport(peer, rec); err != nil {
-				w.handoffErrors.Add(1)
+				w.m.HandoffErrors.Inc()
 				continue
 			}
-			w.handoffSessions.Add(1)
+			w.m.HandoffSessions.Inc()
 		}
 	}()
 }
@@ -291,12 +291,12 @@ func (w *Worker) handleSessionImport(rw http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
-		w.importFailures.Add(1)
+		w.m.ImportFailures.Inc()
 		w.writeError(rw, http.StatusBadRequest, fmt.Sprintf("decoding import: %v", err))
 		return
 	}
 	if err := rec.Validate(); err != nil {
-		w.importFailures.Add(1)
+		w.m.ImportFailures.Inc()
 		w.writeError(rw, importStatus(err), err.Error())
 		return
 	}
@@ -313,11 +313,11 @@ func (w *Worker) handleSessionImport(rw http.ResponseWriter, r *http.Request) {
 			rw.WriteHeader(http.StatusConflict)
 			return
 		}
-		w.importFailures.Add(1)
+		w.m.ImportFailures.Inc()
 		w.writeError(rw, status, err.Error())
 		return
 	}
-	w.sessionImports.Add(1)
+	w.m.SessionImports.Inc()
 	rw.WriteHeader(http.StatusNoContent)
 }
 

@@ -286,22 +286,23 @@ func TestRouterShardMetricsFamilies(t *testing.T) {
 		post(t, c.RouterURL+"/v1/coalesce", requestBody(t, inst.File))
 	}
 
-	st := c.Router.Stats()
-	if len(st.PerShard) == 0 {
+	m := c.Router.Metrics()
+	if m.ShardRequests.Len() == 0 {
 		t.Fatal("no per-shard stats after traffic")
 	}
 	var total int64
-	for node, sh := range st.PerShard {
-		if sh.Forwarded <= 0 {
+	m.ShardRequests.Each(func(node string, c *obs.Counter) {
+		forwarded := c.Load()
+		if forwarded <= 0 {
 			t.Fatalf("shard %s has zero forwarded despite being listed", node)
 		}
-		if int64(sh.Latency.Count) != sh.Forwarded {
-			t.Fatalf("shard %s latency count %d != forwarded %d", node, sh.Latency.Count, sh.Forwarded)
+		if count := m.ShardLatency.With(node).Count(); int64(count) != forwarded {
+			t.Fatalf("shard %s latency count %d != forwarded %d", node, count, forwarded)
 		}
-		total += sh.Forwarded
-	}
-	if total != st.Proxied {
-		t.Fatalf("per-shard forwarded sums to %d, proxied is %d", total, st.Proxied)
+		total += forwarded
+	})
+	if total != m.Proxied.Load() {
+		t.Fatalf("per-shard forwarded sums to %d, proxied is %d", total, m.Proxied.Load())
 	}
 
 	resp, err := http.Get(c.RouterURL + "/metrics")

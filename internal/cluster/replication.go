@@ -225,10 +225,10 @@ func (w *Worker) maybeRebuild(id string) {
 		return
 	}
 	if err := w.svc.ReplaySession(lg.ID, lg.BaseHash, lg.Create, byteSlices(lg.Deltas)); err != nil {
-		w.rebuildFailures.Add(1)
+		w.m.RebuildFailures.Inc()
 		return
 	}
-	w.rebuilds.Add(1)
+	w.m.Rebuilds.Inc()
 }
 
 func byteSlices(raws []json.RawMessage) [][]byte {
@@ -304,11 +304,11 @@ func (w *Worker) sessionBaseHash(req *service.DeltaRequest) string {
 // that is down reads as persistent lag until the next successful push
 // sequence catches it up (or the session closes).
 func (w *Worker) pushSessionLog(peer, op, id, baseHash string, body []byte) {
-	lag := w.lagFor(peer)
+	lag := w.m.ReplicaLag.With(peer)
 	lag.Add(1)
 	payload, err := json.Marshal(sessionLogOp{Op: op, SessionID: id, BaseHash: baseHash, Body: body})
 	if err != nil {
-		w.replFailures.Add(1)
+		w.m.ReplFailures.Inc()
 		return
 	}
 	resp, err := w.doEpochRequest(peer, func() (*http.Request, error) {
@@ -320,16 +320,16 @@ func (w *Worker) pushSessionLog(peer, op, id, baseHash string, body []byte) {
 		return req, nil
 	})
 	if err != nil {
-		w.replFailures.Add(1)
+		w.m.ReplFailures.Inc()
 		return
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		w.replFailures.Add(1)
+		w.m.ReplFailures.Inc()
 		return
 	}
-	w.replPushes.Add(1)
+	w.m.ReplPushes.Inc()
 	lag.Add(-1)
 }
 

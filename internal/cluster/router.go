@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"regcoal/internal/obs"
@@ -46,21 +45,9 @@ type Router struct {
 	client *http.Client
 	mux    *http.ServeMux
 	ids    *obs.Tracer // trace-ID mint only; the router keeps no spans
+	reg    *obs.Registry
 
-	proxied         atomic.Int64
-	batchRequests   atomic.Int64
-	batchItems      atomic.Int64
-	fallback        atomic.Int64
-	failovers       atomic.Int64
-	retries         atomic.Int64
-	hedges          atomic.Int64
-	readyProbes     atomic.Int64
-	noWorker        atomic.Int64
-	topologyUpdates atomic.Int64
-	broadcastFails  atomic.Int64
-
-	shardMu  sync.Mutex
-	perShard map[string]*shardStats // grown lazily as nodes answer traffic
+	m *RouterMetrics
 
 	readyMu sync.Mutex
 	ready   map[string]readyState
@@ -68,18 +55,6 @@ type Router struct {
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
-}
-
-// shardStats is one worker's view from the router: how much traffic it
-// answered, how it came to answer (owner, failover target, fallback
-// shard), and the forward latency distribution. Entries are created on a
-// node's first answer and never removed (a departed node's history stays
-// readable), so the hot path is one short lock to fetch the pointer.
-type shardStats struct {
-	forwarded atomic.Int64 // requests this worker answered
-	failovers atomic.Int64 // ...while standing in for an unready owner
-	fallback  atomic.Int64 // ...for unroutable (fallback-keyed) requests
-	lat       obs.Histogram
 }
 
 type readyState struct {
@@ -164,19 +139,20 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("cluster: router needs at least one worker")
 	}
 	r := &Router{
-		cfg:      cfg,
-		topo:     NewTopology(cfg.Workers, cfg.VNodes),
-		client:   cfg.Client,
-		mux:      http.NewServeMux(),
-		ids:      obs.NewTracer(1, 1, time.Hour),
-		perShard: make(map[string]*shardStats, len(cfg.Workers)),
-		ready:    make(map[string]readyState),
-		probeMu:  make(map[string]*sync.Mutex, len(cfg.Workers)),
-		jitter:   rand.New(rand.NewSource(hashSeed(cfg.Workers))),
+		cfg:     cfg,
+		topo:    NewTopology(cfg.Workers, cfg.VNodes),
+		client:  cfg.Client,
+		mux:     http.NewServeMux(),
+		ids:     obs.NewTracer(1, 1, time.Hour),
+		reg:     obs.NewRegistry(),
+		ready:   make(map[string]readyState),
+		probeMu: make(map[string]*sync.Mutex, len(cfg.Workers)),
+		jitter:  rand.New(rand.NewSource(hashSeed(cfg.Workers))),
 	}
 	if r.client == nil {
 		r.client = &http.Client{Timeout: 60 * time.Second}
 	}
+	r.m = r.declareMetrics()
 	r.mux.HandleFunc("/v1/coalesce", r.handleProxy)
 	r.mux.HandleFunc("/v1/allocate", r.handleProxy)
 	r.mux.HandleFunc("/v1/spill", r.handleProxy)
@@ -241,7 +217,7 @@ func (r *Router) handleTopology(rw http.ResponseWriter, req *http.Request) {
 			writeStaleEpoch(rw, from, next)
 			return
 		}
-		r.topologyUpdates.Add(1)
+		r.m.TopologyUpdates.Inc()
 		r.invalidateReadiness()
 		r.broadcastTopology(old, next)
 		r.writeJSON(rw, http.StatusOK, next.Wire())
@@ -275,7 +251,7 @@ func (r *Router) broadcastTopology(old, next *TopologyView) {
 	}
 	body, err := json.Marshal(next.Wire())
 	if err != nil {
-		r.broadcastFails.Add(int64(len(targets)))
+		r.m.BroadcastFails.Add(int64(len(targets)))
 		return
 	}
 	var wg sync.WaitGroup
@@ -285,19 +261,19 @@ func (r *Router) broadcastTopology(old, next *TopologyView) {
 			defer wg.Done()
 			req, err := http.NewRequest(http.MethodPost, node+"/internal/topology", bytes.NewReader(body))
 			if err != nil {
-				r.broadcastFails.Add(1)
+				r.m.BroadcastFails.Inc()
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
 			resp, err := r.client.Do(req)
 			if err != nil {
-				r.broadcastFails.Add(1)
+				r.m.BroadcastFails.Inc()
 				return
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode >= http.StatusInternalServerError {
-				r.broadcastFails.Add(1)
+				r.m.BroadcastFails.Inc()
 			}
 		}(node)
 	}
@@ -311,7 +287,7 @@ func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.proxied.Add(1)
+	r.m.Proxied.Inc()
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
 	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
@@ -321,7 +297,7 @@ func (r *Router) handleProxy(rw http.ResponseWriter, req *http.Request) {
 	}
 	key := r.routingKey(body)
 	if key == "" {
-		r.fallback.Add(1)
+		r.m.Fallback.Inc()
 	}
 	r.forward(rw, req, key, body, traceID, true)
 }
@@ -365,7 +341,7 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.proxied.Add(1)
+	r.m.Proxied.Inc()
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
 	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
@@ -375,7 +351,7 @@ func (r *Router) handleDelta(rw http.ResponseWriter, req *http.Request) {
 	}
 	key := r.deltaRoutingKey(body)
 	if key == "" {
-		r.fallback.Add(1)
+		r.m.Fallback.Inc()
 	}
 	// No hedging here: a delta batch is not idempotent, and a hedged
 	// duplicate landing on a replica could rebuild and apply the session
@@ -418,7 +394,7 @@ func (r *Router) forward(rw http.ResponseWriter, req *http.Request, key string, 
 	}
 	status, hdr, respBody, node, err := r.forwardTo(path, key, body, traceID, req, hedge)
 	if err != nil {
-		r.noWorker.Add(1)
+		r.m.NoWorker.Inc()
 		r.writeError(rw, http.StatusBadGateway, err.Error())
 		return
 	}
@@ -509,7 +485,7 @@ func (r *Router) forwardTo(path, key string, body []byte, traceID string, client
 				continue
 			}
 			if failedOver {
-				r.failovers.Add(1)
+				r.m.Failovers.Inc()
 			}
 			launched++
 			inFlight++
@@ -547,7 +523,7 @@ func (r *Router) forwardTo(path, key string, body []byte, traceID string, client
 			}
 			last, haveLast = res, true
 			if launched < r.cfg.RetryBudget && next < len(seq) && backoffC == nil {
-				r.retries.Add(1)
+				r.m.Retries.Inc()
 				backoffT = time.NewTimer(r.backoff(launched))
 				backoffC = backoffT.C
 			}
@@ -557,7 +533,7 @@ func (r *Router) forwardTo(path, key string, body []byte, traceID string, client
 		case <-hedgeC:
 			hedgeC = nil
 			if launched < r.cfg.RetryBudget && launch() {
-				r.hedges.Add(1)
+				r.m.Hedges.Inc()
 			}
 		}
 	}
@@ -649,7 +625,7 @@ func (r *Router) readyCached(node string) (ok, fresh bool) {
 
 // probe performs one GET /readyz.
 func (r *Router) probe(node string) bool {
-	r.readyProbes.Add(1)
+	r.m.ReadyProbes.Inc()
 	resp, err := r.client.Get(node + "/readyz")
 	if err != nil {
 		return false
@@ -665,22 +641,20 @@ func (r *Router) markUnready(node string) {
 	r.readyMu.Unlock()
 }
 
+// countShard records one answered forward against the node that gave
+// it. Every per-shard family's child is fetched (created on a node's
+// first answer) even when its event did not happen, so all of them list
+// the same shards.
 func (r *Router) countShard(node string, failedOver, fallbackKey bool, d time.Duration) {
-	r.shardMu.Lock()
-	st, ok := r.perShard[node]
-	if !ok {
-		st = &shardStats{}
-		r.perShard[node] = st
-	}
-	r.shardMu.Unlock()
-	st.forwarded.Add(1)
+	r.m.ShardRequests.With(node).Inc()
+	failovers, fallback := r.m.ShardFailovers.With(node), r.m.ShardFallback.With(node)
 	if failedOver {
-		st.failovers.Add(1)
+		failovers.Inc()
 	}
 	if fallbackKey {
-		st.fallback.Add(1)
+		fallback.Inc()
 	}
-	st.lat.Observe(d)
+	r.m.ShardLatency.With(node).Observe(d)
 }
 
 // rawBatchResponse splices worker batch responses without re-encoding:
@@ -700,7 +674,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 		r.writeError(rw, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	r.batchRequests.Add(1)
+	r.m.BatchRequests.Inc()
 	traceID := r.traceID(req)
 	rw.Header().Set(service.TraceIDHeader, traceID)
 	body, err := io.ReadAll(http.MaxBytesReader(rw, req.Body, r.cfg.MaxBodyBytes))
@@ -723,7 +697,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 		r.forward(rw, req, "", body, traceID, true)
 		return
 	}
-	r.batchItems.Add(int64(len(breq.Items)))
+	r.m.BatchItems.Add(int64(len(breq.Items)))
 
 	// Group item indices by owning shard; remember one representative
 	// routing key per shard so failover walks the ring from the owner.
@@ -771,7 +745,7 @@ func (r *Router) handleBatch(rw http.ResponseWriter, req *http.Request) {
 			}
 			status, _, respBody, _, ferr := r.forwardTo(req.URL.Path, g.key, subBody, traceID, req, true)
 			if ferr != nil {
-				r.noWorker.Add(1)
+				r.m.NoWorker.Inc()
 				r.fillErrors(results, g.indices, fmt.Sprintf("shard unavailable: %v", ferr))
 				return
 			}
@@ -813,129 +787,77 @@ func (r *Router) handleLivez(rw http.ResponseWriter, req *http.Request) {
 	r.writeJSON(rw, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// ShardSummary is one worker's traffic breakdown as the router saw it:
-// how many requests it answered, how many of those were failover or
-// fallback-shard traffic, and the forward latency distribution.
-type ShardSummary struct {
-	Forwarded int64               `json:"forwarded"`
-	Failovers int64               `json:"failovers"`
-	Fallback  int64               `json:"fallback"`
-	Latency   obs.QuantileSummary `json:"latency"`
+// RouterMetrics are the router's counter handles, declared once on its
+// registry and rendered on both /metrics and /stats.
+type RouterMetrics struct {
+	Proxied         *obs.Counter
+	BatchRequests   *obs.Counter
+	BatchItems      *obs.Counter
+	Fallback        *obs.Counter
+	Failovers       *obs.Counter
+	Retries         *obs.Counter
+	Hedges          *obs.Counter
+	ReadyProbes     *obs.Counter
+	NoWorker        *obs.Counter
+	TopologyUpdates *obs.Counter
+	BroadcastFails  *obs.Counter
+	// Per-shard families, keyed by worker URL: how much traffic each
+	// worker answered, how it came to answer (failover target, fallback
+	// shard), and the forward latency. A shard appears on its first
+	// answer and is never removed (a departed node's history stays
+	// readable), so /stats per_shard reads as "who carried traffic".
+	ShardRequests  *obs.Vec[obs.Counter]
+	ShardFailovers *obs.Vec[obs.Counter]
+	ShardFallback  *obs.Vec[obs.Counter]
+	ShardLatency   *obs.Vec[obs.Histogram]
 }
 
-// RouterStats is the router's counter snapshot, served on /stats.
-type RouterStats struct {
-	Workers         []string                `json:"workers"`
-	Epoch           uint64                  `json:"epoch"`
-	Replicas        int                     `json:"replicas"`
-	Proxied         int64                   `json:"proxied"`
-	BatchRequests   int64                   `json:"batch_requests"`
-	BatchItems      int64                   `json:"batch_items"`
-	Fallback        int64                   `json:"fallback_routed"`
-	Failovers       int64                   `json:"failovers"`
-	Retries         int64                   `json:"retries"`
-	Hedges          int64                   `json:"hedges"`
-	ReadyProbes     int64                   `json:"ready_probes"`
-	NoWorker        int64                   `json:"no_worker"`
-	TopologyUpdates int64                   `json:"topology_updates"`
-	BroadcastFails  int64                   `json:"topology_broadcast_failures"`
-	PerShard        map[string]ShardSummary `json:"per_shard"`
-}
+// Metrics exposes the router's counters (tests, embedding).
+func (r *Router) Metrics() *RouterMetrics { return r.m }
 
-// shardSnapshot copies the per-shard stat pointers under the lock.
-func (r *Router) shardSnapshot() map[string]*shardStats {
-	r.shardMu.Lock()
-	defer r.shardMu.Unlock()
-	out := make(map[string]*shardStats, len(r.perShard))
-	for node, st := range r.perShard {
-		out[node] = st
-	}
-	return out
-}
+// Registry exposes the registry behind the router's /metrics and /stats.
+func (r *Router) Registry() *obs.Registry { return r.reg }
 
-// Stats returns the router's counters. Shards that never answered a
-// request are omitted, so per_shard reads as "who carried traffic".
-func (r *Router) Stats() RouterStats {
-	shards := r.shardSnapshot()
-	per := make(map[string]ShardSummary, len(shards))
-	for node, st := range shards {
-		fwd := st.forwarded.Load()
-		if fwd == 0 {
-			continue
-		}
-		per[node] = ShardSummary{
-			Forwarded: fwd,
-			Failovers: st.failovers.Load(),
-			Fallback:  st.fallback.Load(),
-			Latency:   st.lat.Summary(),
-		}
+func (r *Router) declareMetrics() *RouterMetrics {
+	reg := r.reg
+	counter := func(name, help, key string) *obs.Counter {
+		return reg.Counter(obs.Desc{Name: name, Help: help, Stats: key})
 	}
-	view := r.topo.View()
-	return RouterStats{
-		Workers:         view.Nodes,
-		Epoch:           view.Epoch,
-		Replicas:        r.cfg.Replicas,
-		Proxied:         r.proxied.Load(),
-		BatchRequests:   r.batchRequests.Load(),
-		BatchItems:      r.batchItems.Load(),
-		Fallback:        r.fallback.Load(),
-		Failovers:       r.failovers.Load(),
-		Retries:         r.retries.Load(),
-		Hedges:          r.hedges.Load(),
-		ReadyProbes:     r.readyProbes.Load(),
-		NoWorker:        r.noWorker.Load(),
-		TopologyUpdates: r.topologyUpdates.Load(),
-		BroadcastFails:  r.broadcastFails.Load(),
-		PerShard:        per,
+	reg.Value("workers", func() any { return r.topo.View().Nodes })
+	reg.Value("replicas", func() any { return r.cfg.Replicas })
+	m := &RouterMetrics{
+		Proxied:         counter("regcoal_router_proxied_total", "Single-solve requests proxied.", "proxied"),
+		BatchRequests:   counter("regcoal_router_batch_requests_total", "POST /v1/batch requests.", "batch_requests"),
+		BatchItems:      counter("regcoal_router_batch_items_total", "Batch items fanned out.", "batch_items"),
+		Fallback:        counter("regcoal_router_fallback_total", "Requests routed to the fallback shard.", "fallback_routed"),
+		Failovers:       counter("regcoal_router_failovers_total", "Requests answered by a non-owner after failover.", "failovers"),
+		Retries:         counter("regcoal_router_retries_total", "Attempts retried on a further replica after a transport error or 5xx.", "retries"),
+		Hedges:          counter("regcoal_router_hedges_total", "Hedged attempts launched after HedgeAfter without an answer.", "hedges"),
+		ReadyProbes:     counter("regcoal_router_ready_probes_total", "Readiness probes issued (singleflighted per peer per ReadyTTL window).", "ready_probes"),
+		NoWorker:        counter("regcoal_router_no_worker_total", "Requests that found no available worker.", "no_worker"),
+		TopologyUpdates: counter("regcoal_router_topology_updates_total", "Admin topology updates applied (epoch bumps).", "topology_updates"),
+		BroadcastFails:  counter("regcoal_router_topology_broadcast_failures_total", "Topology broadcast pushes that failed.", "topology_broadcast_failures"),
 	}
+	reg.GaugeFunc(obs.Desc{Name: "regcoal_topology_epoch", Help: "Current cluster membership epoch.", Stats: "epoch"},
+		func() float64 { return float64(r.topo.View().Epoch) })
+	m.ShardRequests = reg.CounterVec(obs.Desc{Name: "regcoal_router_shard_requests_total",
+		Help: "Requests answered per shard.", Stats: "per_shard.*.forwarded"}, "shard")
+	m.ShardFailovers = reg.CounterVec(obs.Desc{Name: "regcoal_router_shard_failovers_total",
+		Help: "Requests a shard answered while standing in for an unready owner.", Stats: "per_shard.*.failovers"}, "shard")
+	m.ShardFallback = reg.CounterVec(obs.Desc{Name: "regcoal_router_shard_fallback_total",
+		Help: "Fallback-keyed (unroutable) requests a shard answered.", Stats: "per_shard.*.fallback"}, "shard")
+	m.ShardLatency = reg.HistogramVec(obs.Desc{Name: "regcoal_router_shard_latency_seconds",
+		Help: "Router-observed forward latency per shard.", Stats: "per_shard.*.latency"}, "shard")
+	return m
 }
 
 func (r *Router) handleStats(rw http.ResponseWriter, req *http.Request) {
-	r.writeJSON(rw, http.StatusOK, r.Stats())
+	r.writeJSON(rw, http.StatusOK, r.reg.Stats())
 }
 
 func (r *Router) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := r.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regcoal_router_proxied_total", "Single-solve requests proxied.", st.Proxied)
-	counter("regcoal_router_batch_requests_total", "POST /v1/batch requests.", st.BatchRequests)
-	counter("regcoal_router_batch_items_total", "Batch items fanned out.", st.BatchItems)
-	counter("regcoal_router_fallback_total", "Requests routed to the fallback shard.", st.Fallback)
-	counter("regcoal_router_failovers_total", "Requests answered by a non-owner after failover.", st.Failovers)
-	counter("regcoal_router_retries_total", "Attempts retried on a further replica after a transport error or 5xx.", st.Retries)
-	counter("regcoal_router_hedges_total", "Hedged attempts launched after HedgeAfter without an answer.", st.Hedges)
-	counter("regcoal_router_ready_probes_total", "Readiness probes issued (singleflighted per peer per ReadyTTL window).", st.ReadyProbes)
-	counter("regcoal_router_no_worker_total", "Requests that found no available worker.", st.NoWorker)
-	counter("regcoal_router_topology_updates_total", "Admin topology updates applied (epoch bumps).", st.TopologyUpdates)
-	counter("regcoal_router_topology_broadcast_failures_total", "Topology broadcast pushes that failed.", st.BroadcastFails)
-	fmt.Fprintf(rw, "# HELP regcoal_topology_epoch Current cluster membership epoch.\n# TYPE regcoal_topology_epoch gauge\nregcoal_topology_epoch %d\n", st.Epoch)
-	nodes := make([]string, 0, len(st.PerShard))
-	for n := range st.PerShard {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	shardCounter := func(name, help string, pick func(ShardSummary) int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, n := range nodes {
-			fmt.Fprintf(rw, "%s{shard=%q} %d\n", name, n, pick(st.PerShard[n]))
-		}
-	}
-	if len(nodes) > 0 {
-		shardCounter("regcoal_router_shard_requests_total", "Requests answered per shard.",
-			func(s ShardSummary) int64 { return s.Forwarded })
-		shardCounter("regcoal_router_shard_failovers_total", "Requests a shard answered while standing in for an unready owner.",
-			func(s ShardSummary) int64 { return s.Failovers })
-		shardCounter("regcoal_router_shard_fallback_total", "Fallback-keyed (unroutable) requests a shard answered.",
-			func(s ShardSummary) int64 { return s.Fallback })
-		obs.WritePrometheusHeader(rw, "regcoal_router_shard_latency_seconds", "Router-observed forward latency per shard.")
-		shards := r.shardSnapshot()
-		for _, n := range nodes {
-			shards[n].lat.WritePrometheus(rw, "regcoal_router_shard_latency_seconds", fmt.Sprintf("shard=%q", n))
-		}
-	}
+	r.reg.WritePrometheus(rw)
 }
 
 func (r *Router) writeJSON(rw http.ResponseWriter, status int, v any) {

@@ -1,11 +1,13 @@
 package cluster_test
 
-// Surface golden test: a fixed request script is driven through a single
-// node, a cluster worker and the router, and each scrape's metric
-// surface — sorted HELP/TYPE lines and series names with labels, values
-// stripped — plus the sorted set of /stats JSON key paths is compared
-// against testdata/surface.golden. A renamed series, a changed HELP text
-// or a moved /stats key fails here before it reaches a dashboard.
+// Surface tests: a fixed request script is driven through a single node,
+// a cluster worker and the router. The golden test compares each scrape's
+// metric surface — sorted HELP/TYPE lines and series names with labels,
+// values stripped — plus the sorted set of /stats JSON key paths against
+// testdata/surface.golden, so a renamed series, a changed HELP text or a
+// moved /stats key fails here before it reaches a dashboard. The
+// agreement test checks that, once traffic stops, every counter reads the
+// same value on /metrics and /stats.
 
 import (
 	"encoding/json"
@@ -14,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -228,6 +231,71 @@ func TestMetricsSurfaceGolden(t *testing.T) {
 	for _, l := range sortedSet(gotSet) {
 		if !wantSet[l] {
 			t.Errorf("unexpected: %s", l)
+		}
+	}
+}
+
+// TestMetricsStatsCountersAgree: in one quiescent snapshot, every counter
+// declared on both surfaces reads the same value on /metrics and /stats.
+func TestMetricsStatsCountersAgree(t *testing.T) {
+	single, singleTS := startSingle(t, service.Config{})
+	c := startCluster(t, 2, cluster.InProcessOptions{})
+	surfaces := []struct {
+		name, url string
+		reg       *obs.Registry
+	}{
+		{"service", singleTS.URL, single.Registry()},
+		{"worker", c.Workers[0].URL, c.Workers[0].Service.Registry()},
+		{"router", c.RouterURL, c.Router.Registry()},
+	}
+	for _, s := range surfaces {
+		driveSurfaceScript(t, s.url)
+		metrics := map[string]float64{}
+		for _, line := range strings.Split(getBody(t, s.url+"/metrics"), "\n") {
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			i := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("%s: bad sample %q", s.name, line)
+			}
+			metrics[line[:i]] = v
+		}
+		var doc map[string]any
+		if err := json.Unmarshal([]byte(getBody(t, s.url+"/stats")), &doc); err != nil {
+			t.Fatal(err)
+		}
+		paths := s.reg.CounterPaths()
+		if len(paths) == 0 {
+			t.Fatalf("%s: no counters declared", s.name)
+		}
+		nonzero := 0
+		for series, path := range paths {
+			want, ok := metrics[series]
+			if !ok {
+				t.Errorf("%s: counter %s not on /metrics", s.name, series)
+				continue
+			}
+			var node any = doc
+			for _, seg := range path {
+				obj, _ := node.(map[string]any)
+				node = obj[seg]
+			}
+			got, ok := node.(float64)
+			if !ok {
+				t.Errorf("%s: counter %s: /stats %s is %v, want a number", s.name, series, strings.Join(path, "."), node)
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: counter %s reads %v on /metrics but %v on /stats %s", s.name, series, want, got, strings.Join(path, "."))
+			}
+			if want != 0 {
+				nonzero++
+			}
+		}
+		if nonzero == 0 {
+			t.Errorf("%s: every counter reads zero after the script", s.name)
 		}
 	}
 }

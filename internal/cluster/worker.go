@@ -2,14 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,29 +59,7 @@ type Worker struct {
 
 	sessLogs *sessionLogs
 
-	lagMu   sync.Mutex
-	replLag map[string]*atomic.Int64 // per-peer un-acked log pushes; grown lazily
-
-	peerFills       atomic.Int64 // local misses answered from a peer's cache
-	peerMisses      atomic.Int64 // peer lookups that found nothing
-	peerErrors      atomic.Int64 // peer lookups/pushes that failed
-	peerPushes      atomic.Int64 // computed entries pushed to replica owners
-	replPushes      atomic.Int64 // session log records replicated to peers
-	replFailures    atomic.Int64 // ...that failed
-	rebuilds        atomic.Int64 // sessions rebuilt from a replicated log
-	rebuildFailures atomic.Int64 // ...that failed to replay
-	laneRejects     [2]atomic.Int64
-
-	epochRejects    atomic.Int64 // internal RPCs rejected 409 for a stale epoch
-	epochAdoptions  atomic.Int64 // topology views adopted (broadcast or 409 exchange)
-	handoffEntries  atomic.Int64 // cache entries streamed to new owners
-	handoffBytes    atomic.Int64 // ...their serialized size
-	handoffSessions atomic.Int64 // sessions exported to new primaries
-	handoffErrors   atomic.Int64 // handoff pushes that failed after retry
-	handoffRounds   atomic.Int64 // topology changes that ran a handoff
-	handoffActive   atomic.Int64 // handoffs currently streaming (gauge)
-	sessionImports  atomic.Int64 // sessions imported (made live) via migration
-	importFailures  atomic.Int64 // import records rejected
+	m *WorkerMetrics
 }
 
 // WorkerConfig parameterizes a Worker. Self and Peers use the same base
@@ -142,54 +116,35 @@ func NewWorker(svc *service.Server, cfg WorkerConfig) (*Worker, error) {
 		client:   cfg.Client,
 		mux:      http.NewServeMux(),
 		sessLogs: newSessionLogs(svc.Config().MaxSessions),
-		replLag:  make(map[string]*atomic.Int64, len(cfg.Peers)),
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		w.topo = NewTopology(cfg.Peers, cfg.VNodes)
-		// Prefill the lag gauges for the initial peer set so the metrics
-		// family is present from the first scrape; peers that join later
-		// grow the map through lagFor.
-		for _, p := range cfg.Peers {
-			if p != cfg.Self {
-				w.replLag[p] = &atomic.Int64{}
-			}
-		}
 		// LRU eviction is a migration trigger: an evicted session's op
 		// log is re-pushed so the session survives as rebuildable state
 		// on its current replica set even after a reshard moved it.
 		svc.Sessions().SetEvictHook(w.onSessionEvict)
 	}
+	w.m = w.declareMetrics(svc.Registry())
 	if w.client == nil {
 		w.client = &http.Client{Timeout: 2 * time.Second}
 	}
-	w.mux.HandleFunc("/v1/coalesce", w.handleSolve(service.KindCoalesce))
-	w.mux.HandleFunc("/v1/allocate", w.handleSolve(service.KindAllocate))
-	w.mux.HandleFunc("/v1/spill", w.handleSolve(service.KindSpill))
+	// The solve endpoints are the service's own handlers with the tiered
+	// cache and admission substituted for the local solve path: same
+	// decode rules, counters, traces and bodies.
+	for _, kind := range []service.Kind{service.KindCoalesce, service.KindAllocate, service.KindSpill} {
+		w.mux.HandleFunc("/v1/"+kind.String(), svc.SolveHandler(kind, w.solveClustered, w.solveBatchEntry))
+	}
 	w.mux.HandleFunc("/v1/coalesce/delta", w.handleDelta)
-	w.mux.HandleFunc("/v1/batch", w.handleBatch)
+	w.mux.HandleFunc("/v1/batch", svc.BatchHandler(w.solveBatchEntry))
 	w.mux.HandleFunc("/internal/cache", w.handleInternalCache)
 	w.mux.HandleFunc("/internal/session/log", w.handleInternalSessionLog)
 	w.mux.HandleFunc("/internal/session/import", w.handleSessionImport)
 	w.mux.HandleFunc("/internal/topology", w.handleInternalTopology)
-	w.mux.HandleFunc("/metrics", w.handleMetrics)
-	w.mux.HandleFunc("/stats", w.handleStats)
-	// Liveness, readiness, and anything else stay the service's.
+	// Liveness, readiness, /metrics, /stats (the shard families are
+	// declared on the service's registry) and anything else stay the
+	// service's.
 	w.mux.Handle("/", svc.Handler())
 	return w, nil
-}
-
-// lagFor returns (creating if needed) peer's replica-lag gauge. The map
-// grows as topology changes introduce peers; entries are never removed,
-// so a departed peer's final lag stays readable.
-func (w *Worker) lagFor(peer string) *atomic.Int64 {
-	w.lagMu.Lock()
-	defer w.lagMu.Unlock()
-	l, ok := w.replLag[peer]
-	if !ok {
-		l = &atomic.Int64{}
-		w.replLag[peer] = l
-	}
-	return l
 }
 
 // Topology exposes the worker's membership object (nil when not
@@ -209,101 +164,6 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) { w.mux.Serv
 
 // Service exposes the wrapped server (tests, embedding).
 func (w *Worker) Service() *service.Server { return w.svc }
-
-// handleSolve mirrors the service's solve handler — same metrics, decode
-// rules, and bodies — inserting peer fill and admission between Prepare
-// and SolvePrepared.
-func (w *Worker) handleSolve(kind service.Kind) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
-		m := w.svc.Metrics()
-		switch kind {
-		case service.KindCoalesce:
-			m.CoalesceRequests.Add(1)
-		case service.KindAllocate:
-			m.AllocateRequests.Add(1)
-		case service.KindSpill:
-			m.SpillRequests.Add(1)
-		}
-		m.InFlight.Add(1)
-		defer m.InFlight.Add(-1)
-
-		// The router minted (or adopted) the trace ID and forwarded it in
-		// X-Regcoal-Trace-Id; StartTrace adopts it, so one ID names the
-		// request across router, worker, and peer-fill hops.
-		tr := w.svc.StartTrace(service.EndpointOf(kind), r)
-		defer w.svc.FinishTrace(tr)
-		rw.Header().Set(service.TraceIDHeader, tr.ID.String())
-		fail := func(status int, msg string) {
-			tr.Status = status
-			w.writeError(rw, status, msg)
-		}
-
-		tr.BeginPhase(obs.PhaseDecode)
-		var req service.Request
-		body := http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			m.BadRequests.Add(1)
-			fail(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-			return
-		}
-
-		if len(req.Batch) > 0 {
-			if req.Graph != nil {
-				m.BadRequests.Add(1)
-				fail(http.StatusBadRequest, "use either graph or batch, not both")
-				return
-			}
-			if len(req.Batch) > w.svc.Config().MaxBatch {
-				m.BadRequests.Add(1)
-				fail(http.StatusBadRequest,
-					fmt.Sprintf("batch carries %d graphs, limit %d", len(req.Batch), w.svc.Config().MaxBatch))
-				return
-			}
-			tr.EndPhase()
-			resp := w.runBatch(kind, req.Batch)
-			tr.BeginPhase(obs.PhaseEncode)
-			data, err := json.Marshal(resp)
-			tr.EndPhase()
-			if err != nil {
-				w.svc.Metrics().Errors.Add(1)
-				tr.Status = http.StatusInternalServerError
-				http.Error(rw, `{"error":"encoding response"}`, http.StatusInternalServerError)
-				return
-			}
-			tr.Status = http.StatusOK
-			w.writeRaw(rw, http.StatusOK, data)
-			return
-		}
-		p, err := w.svc.PrepareTraced(kind, &req, tr)
-		if err != nil {
-			fail(service.ErrorStatus(err), err.Error())
-			return
-		}
-		respBody, disposition, tier, err := w.solveClustered(p, tr)
-		if err != nil {
-			fail(errorStatus(err), err.Error())
-			return
-		}
-		tr.Cache = disposition
-		tr.Status = http.StatusOK
-		rw.Header().Set("X-Regcoal-Cache", disposition)
-		rw.Header().Set("X-Regcoal-Tier", tier)
-		if h := obs.BuildPhasesHeader(tr); h != "" {
-			rw.Header().Set(service.PhasesHeader, h)
-		}
-		if service.TraceWanted(r) {
-			tr.DurNS = tr.Since()
-			respBody = obs.SpliceTraceJSON(respBody, tr)
-		}
-		w.writeRaw(rw, http.StatusOK, respBody)
-	}
-}
 
 // solveClustered answers a prepared request through the tiered cache and
 // admission lanes. tier reports where the answer came from: "local"
@@ -334,9 +194,9 @@ func (w *Worker) solveClustered(p *service.Prepared, tr *obs.Trace) (body []byte
 	}
 	lane := w.adm.Classify(p.Vertices(), p.Density())
 	if !w.adm.TryAcquire(lane) {
-		w.laneRejects[lane].Add(1)
-		w.svc.Metrics().Rejected.Add(1)
-		return nil, "", "", &laneFullError{lane: lane}
+		w.m.LaneRejects.With(lane.String()).Inc()
+		w.svc.Metrics().Rejected.Inc()
+		return nil, "", "", service.StatusError(http.StatusTooManyRequests, lane.String()+" lane full, retry later")
 	}
 	defer w.adm.Release(lane)
 	body, disposition, err = w.svc.SolvePreparedTraced(p, tr)
@@ -347,109 +207,17 @@ func (w *Worker) solveClustered(p *service.Prepared, tr *obs.Trace) (body []byte
 	return body, disposition, "compute", nil
 }
 
-// laneFullError is the admission 429.
-type laneFullError struct{ lane Lane }
-
-func (e *laneFullError) Error() string { return e.lane.String() + " lane full, retry later" }
-
-// errorStatus maps worker-level errors (admission) and service solve
-// errors to their HTTP status.
-func errorStatus(err error) int {
-	var lf *laneFullError
-	if errors.As(err, &lf) {
-		return http.StatusTooManyRequests
-	}
-	return service.ErrorStatus(err)
-}
-
 // solveBatchEntry is the per-item path of both batch shapes: the
 // service's entry solve with the tiered cache and push in front.
 // Admission is not applied per item — the batch fan-out is already
 // bounded by the pool queue, whose saturation surfaces per entry.
-func (w *Worker) solveBatchEntry(kind service.Kind, sub *service.Request) service.BatchEntry {
-	if len(sub.Batch) > 0 {
-		return service.BatchEntry{Error: "batch elements must not nest batches"}
-	}
-	p, err := w.svc.Prepare(kind, sub)
-	if err != nil {
-		return service.BatchEntry{Error: err.Error()}
-	}
+func (w *Worker) solveBatchEntry(p *service.Prepared) (service.BatchEntry, string) {
 	w.peerFill(p, nil)
 	e, disposition := w.svc.SolveBatchEntry(p)
 	if e.Error == "" {
 		w.pushToOwners(p, disposition, nil)
 	}
-	return e
-}
-
-// runBatch mirrors service.Server.RunBatch — same bounded fan-out, same
-// counters — routed through the worker's per-item path.
-func (w *Worker) runBatch(kind service.Kind, items []service.Request) *service.BatchResponse {
-	w.svc.Metrics().BatchGraphs.Add(int64(len(items)))
-	resp := &service.BatchResponse{Results: make([]service.BatchEntry, len(items))}
-	fanout := w.svc.Config().Workers * 2
-	if fanout > len(items) {
-		fanout = len(items)
-	}
-	idxCh := make(chan int)
-	done := make(chan struct{})
-	for g := 0; g < fanout; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range idxCh {
-				resp.Results[i] = w.solveBatchEntry(kind, &items[i])
-			}
-		}()
-	}
-	for i := range items {
-		idxCh <- i
-	}
-	close(idxCh)
-	for g := 0; g < fanout; g++ {
-		<-done
-	}
-	return resp
-}
-
-// handleBatch mirrors the service's /v1/batch — identical validation and
-// bodies — through the worker's per-item path.
-func (w *Worker) handleBatch(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.writeError(rw, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	m := w.svc.Metrics()
-	m.BatchRequests.Add(1)
-	m.InFlight.Add(1)
-	defer m.InFlight.Add(-1)
-
-	var req service.BatchSolveRequest
-	body := http.MaxBytesReader(rw, r.Body, w.svc.Config().MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, fmt.Sprintf("decoding batch request: %v", err))
-		return
-	}
-	kind, err := service.ParseKind(req.Kind)
-	if err != nil {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Items) == 0 {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Items) > w.svc.Config().MaxBatch {
-		m.BadRequests.Add(1)
-		w.writeError(rw, http.StatusBadRequest,
-			fmt.Sprintf("batch carries %d graphs, limit %d", len(req.Items), w.svc.Config().MaxBatch))
-		return
-	}
-	w.writeJSON(rw, http.StatusOK, w.runBatch(kind, req.Items))
+	return e, disposition
 }
 
 // peerFill consults the replica owners' caches for a key missing
@@ -495,30 +263,30 @@ func (w *Worker) peerFillFrom(owner string, p *service.Prepared, tr *obs.Trace) 
 		return req, err
 	})
 	if err != nil {
-		w.peerErrors.Add(1)
+		w.m.PeerErrors.Inc()
 		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotFound {
-		w.peerMisses.Add(1)
+		w.m.PeerMisses.Inc()
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
 	if resp.StatusCode != http.StatusOK {
-		w.peerErrors.Add(1)
+		w.m.PeerErrors.Inc()
 		io.Copy(io.Discard, resp.Body)
 		return false
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		w.peerErrors.Add(1)
+		w.m.PeerErrors.Inc()
 		return false
 	}
 	if err := w.svc.CacheSeed(p.Key(), data); err != nil {
-		w.peerErrors.Add(1)
+		w.m.PeerErrors.Inc()
 		return false
 	}
-	w.peerFills.Add(1)
+	w.m.PeerFills.Inc()
 	return true
 }
 
@@ -550,16 +318,16 @@ func (w *Worker) pushToOwners(p *service.Prepared, disposition string, tr *obs.T
 			return req, nil
 		})
 		if err != nil {
-			w.peerErrors.Add(1)
+			w.m.PeerErrors.Inc()
 			continue
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			w.peerErrors.Add(1)
+			w.m.PeerErrors.Inc()
 			continue
 		}
-		w.peerPushes.Add(1)
+		w.m.PeerPushes.Inc()
 	}
 }
 
@@ -581,7 +349,7 @@ func (w *Worker) handleInternalCache(rw http.ResponseWriter, r *http.Request) {
 			w.writeError(rw, http.StatusNotFound, "not cached")
 			return
 		}
-		w.writeRaw(rw, http.StatusOK, data)
+		w.svc.WriteRaw(rw, http.StatusOK, data)
 	case http.MethodPut:
 		data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 		if err != nil {
@@ -598,166 +366,107 @@ func (w *Worker) handleInternalCache(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ClusterStats is the worker's shard-level counter section, nested under
-// "cluster" in its /stats body.
-type ClusterStats struct {
-	Self                string           `json:"self,omitempty"`
-	Peers               int              `json:"peers"`
-	Replicas            int              `json:"replicas"`
-	PeerFills           int64            `json:"peer_fills"`
-	PeerMisses          int64            `json:"peer_misses"`
-	PeerPushes          int64            `json:"peer_pushes"`
-	PeerErrors          int64            `json:"peer_errors"`
-	SessionReplPushes   int64            `json:"session_repl_pushes"`
-	SessionReplFailures int64            `json:"session_repl_failures"`
-	SessionRebuilds     int64            `json:"session_rebuilds"`
-	SessionRebuildFails int64            `json:"session_rebuild_failures"`
-	SessionLogs         int              `json:"session_logs"`
-	SessionReplicaLag   map[string]int64 `json:"session_replica_lag,omitempty"`
-	FastLaneRejects     int64            `json:"fast_lane_rejects"`
-	HeavyLaneRejects    int64            `json:"heavy_lane_rejects"`
-	FastLaneDepth       int              `json:"fast_lane_depth"`
-	HeavyLaneDepth      int              `json:"heavy_lane_depth"`
-	Epoch               uint64           `json:"epoch,omitempty"`
-	EpochRejects        int64            `json:"epoch_rejects"`
-	EpochAdoptions      int64            `json:"epoch_adoptions"`
-	HandoffEntries      int64            `json:"handoff_entries"`
-	HandoffBytes        int64            `json:"handoff_bytes"`
-	HandoffSessions     int64            `json:"handoff_sessions"`
-	HandoffErrors       int64            `json:"handoff_errors"`
-	HandoffRounds       int64            `json:"handoff_rounds"`
-	HandoffActive       int64            `json:"handoff_active"`
-	SessionImports      int64            `json:"session_imports"`
-	SessionImportFails  int64            `json:"session_import_failures"`
+// WorkerMetrics are the shard-level counter handles, declared on the
+// wrapped service's registry: regcoal_cluster_*, regcoal_session_repl_*,
+// regcoal_epoch_*, regcoal_handoff_* on /metrics and the "cluster"
+// section of /stats.
+type WorkerMetrics struct {
+	PeerFills       *obs.Counter // local misses answered from a peer's cache
+	PeerMisses      *obs.Counter // peer lookups that found nothing
+	PeerPushes      *obs.Counter // computed entries pushed to replica owners
+	PeerErrors      *obs.Counter // peer lookups/pushes that failed
+	ReplPushes      *obs.Counter // session log records replicated to peers
+	ReplFailures    *obs.Counter // ...that failed
+	Rebuilds        *obs.Counter // sessions rebuilt from a replicated log
+	RebuildFailures *obs.Counter // ...that failed to replay
+	EpochRejects    *obs.Counter // internal RPCs rejected 409 for a stale epoch
+	EpochAdoptions  *obs.Counter // topology views adopted (broadcast or 409 exchange)
+	HandoffEntries  *obs.Counter // cache entries streamed to new owners
+	HandoffBytes    *obs.Counter // ...their serialized size
+	HandoffSessions *obs.Counter // sessions exported to new primaries
+	HandoffErrors   *obs.Counter // handoff pushes that failed after retry
+	HandoffRounds   *obs.Counter // topology changes that ran a handoff
+	HandoffActive   *obs.Gauge   // handoffs currently streaming
+	SessionImports  *obs.Counter // sessions imported (made live) via migration
+	ImportFailures  *obs.Counter // import records rejected
+	// LaneRejects counts admission 429s per lane ("fast", "heavy").
+	LaneRejects *obs.Vec[obs.Counter]
+	// ReplicaLag is the un-acked session log pushes per peer. Children
+	// are never removed, so a departed peer's final lag stays readable.
+	ReplicaLag *obs.Vec[obs.Gauge]
 }
 
-// Stats returns the shard-level counters.
-func (w *Worker) Stats() ClusterStats {
-	var lag map[string]int64
-	w.lagMu.Lock()
-	if len(w.replLag) > 0 {
-		lag = make(map[string]int64, len(w.replLag))
-		for peer, v := range w.replLag {
-			lag[peer] = v.Load()
-		}
+// Metrics exposes the shard-level counters (tests, embedding).
+func (w *Worker) Metrics() *WorkerMetrics { return w.m }
+
+// declareMetrics declares the shard families on reg. Membership-only
+// entries (self, epoch, per-peer replica lag) exist only when the worker
+// is clustered.
+func (w *Worker) declareMetrics(reg *obs.Registry) *WorkerMetrics {
+	counter := func(name, help, key string) *obs.Counter {
+		return reg.Counter(obs.Desc{Name: name, Help: help, Stats: "cluster." + key})
 	}
-	w.lagMu.Unlock()
-	var epoch uint64
-	peers := len(w.cfg.Peers)
+	if w.cfg.Self != "" {
+		reg.Value("cluster.self", func() any { return w.cfg.Self })
+	}
+	reg.Value("cluster.peers", func() any {
+		if w.topo != nil {
+			return len(w.topo.View().Nodes)
+		}
+		return len(w.cfg.Peers)
+	})
+	reg.Value("cluster.replicas", func() any { return w.replicaCount() })
+	reg.Value("cluster.session_logs", func() any { return w.sessLogs.len() })
+	m := &WorkerMetrics{
+		PeerFills:       counter("regcoal_cluster_peer_fills_total", "Local misses answered from a peer shard's cache.", "peer_fills"),
+		PeerMisses:      counter("regcoal_cluster_peer_misses_total", "Peer cache lookups that found nothing.", "peer_misses"),
+		PeerPushes:      counter("regcoal_cluster_peer_pushes_total", "Computed entries pushed to their owning shard.", "peer_pushes"),
+		PeerErrors:      counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", "peer_errors"),
+		ReplPushes:      counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", "session_repl_pushes"),
+		ReplFailures:    counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", "session_repl_failures"),
+		Rebuilds:        counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", "session_rebuilds"),
+		RebuildFailures: counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", "session_rebuild_failures"),
+		EpochRejects:    counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", "epoch_rejects"),
+		EpochAdoptions:  counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", "epoch_adoptions"),
+		HandoffEntries:  counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", "handoff_entries"),
+		HandoffBytes:    counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", "handoff_bytes"),
+		HandoffSessions: counter("regcoal_handoff_sessions_total", "Sessions exported to new owners (reshard or eviction migration).", "handoff_sessions"),
+		HandoffErrors:   counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", "handoff_errors"),
+		HandoffRounds:   counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", "handoff_rounds"),
+		SessionImports:  counter("regcoal_session_imports_total", "Sessions made live via the migration import wire.", "session_imports"),
+		ImportFailures:  counter("regcoal_session_import_failures_total", "Migration import records rejected.", "session_import_failures"),
+	}
+	m.HandoffActive = reg.Gauge(obs.Desc{Name: "regcoal_handoff_active", Help: "Handoff streams currently running.", Stats: "cluster.handoff_active"})
+	// Unclustered, the membership families stay off both surfaces: their
+	// handles count into a nil registry.
+	var clustered *obs.Registry
 	if w.topo != nil {
-		view := w.topo.View()
-		epoch = view.Epoch
-		peers = len(view.Nodes)
+		clustered = reg
+		reg.GaugeFunc(obs.Desc{Name: "regcoal_topology_epoch", Help: "Current cluster membership epoch.", Stats: "cluster.epoch"},
+			func() float64 { return float64(w.topo.View().Epoch) })
 	}
-	return ClusterStats{
-		Self:                w.cfg.Self,
-		Peers:               peers,
-		Replicas:            w.replicaCount(),
-		Epoch:               epoch,
-		EpochRejects:        w.epochRejects.Load(),
-		EpochAdoptions:      w.epochAdoptions.Load(),
-		HandoffEntries:      w.handoffEntries.Load(),
-		HandoffBytes:        w.handoffBytes.Load(),
-		HandoffSessions:     w.handoffSessions.Load(),
-		HandoffErrors:       w.handoffErrors.Load(),
-		HandoffRounds:       w.handoffRounds.Load(),
-		HandoffActive:       w.handoffActive.Load(),
-		SessionImports:      w.sessionImports.Load(),
-		SessionImportFails:  w.importFailures.Load(),
-		PeerFills:           w.peerFills.Load(),
-		PeerMisses:          w.peerMisses.Load(),
-		PeerPushes:          w.peerPushes.Load(),
-		PeerErrors:          w.peerErrors.Load(),
-		SessionReplPushes:   w.replPushes.Load(),
-		SessionReplFailures: w.replFailures.Load(),
-		SessionRebuilds:     w.rebuilds.Load(),
-		SessionRebuildFails: w.rebuildFailures.Load(),
-		SessionLogs:         w.sessLogs.len(),
-		SessionReplicaLag:   lag,
-		FastLaneRejects:     w.laneRejects[LaneFast].Load(),
-		HeavyLaneRejects:    w.laneRejects[LaneHeavy].Load(),
-		FastLaneDepth:       w.adm.Depth(LaneFast),
-		HeavyLaneDepth:      w.adm.Depth(LaneHeavy),
-	}
-}
-
-// workerStats is the worker's /stats body: the service snapshot plus the
-// shard section.
-type workerStats struct {
-	service.Stats
-	Cluster ClusterStats `json:"cluster"`
-}
-
-func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
-	w.writeJSON(rw, http.StatusOK, workerStats{Stats: w.svc.StatsSnapshot(), Cluster: w.Stats()})
-}
-
-func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.svc.WritePrometheus(rw)
-	cs := w.Stats()
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(rw, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("regcoal_cluster_peer_fills_total", "Local misses answered from a peer shard's cache.", cs.PeerFills)
-	counter("regcoal_cluster_peer_misses_total", "Peer cache lookups that found nothing.", cs.PeerMisses)
-	counter("regcoal_cluster_peer_pushes_total", "Computed entries pushed to their owning shard.", cs.PeerPushes)
-	counter("regcoal_cluster_peer_errors_total", "Failed peer cache lookups or pushes.", cs.PeerErrors)
-	counter("regcoal_session_repl_pushes_total", "Session op-log records replicated to peers.", cs.SessionReplPushes)
-	counter("regcoal_session_repl_failures_total", "Session op-log replication pushes that failed.", cs.SessionReplFailures)
-	counter("regcoal_session_rebuilds_total", "Sessions rebuilt from a replicated op log after failover.", cs.SessionRebuilds)
-	counter("regcoal_session_rebuild_failures_total", "Session rebuilds that failed to replay.", cs.SessionRebuildFails)
-	counter("regcoal_epoch_rejects_total", "Internal RPCs rejected 409 for a stale topology epoch.", cs.EpochRejects)
-	counter("regcoal_epoch_adoptions_total", "Topology views adopted from a broadcast or 409 exchange.", cs.EpochAdoptions)
-	counter("regcoal_handoff_entries_total", "Cache entries streamed to new owners during resharding.", cs.HandoffEntries)
-	counter("regcoal_handoff_bytes_total", "Serialized bytes of cache entries streamed during resharding.", cs.HandoffBytes)
-	counter("regcoal_handoff_sessions_total", "Sessions exported to new owners (reshard or eviction migration).", cs.HandoffSessions)
-	counter("regcoal_handoff_errors_total", "Handoff pushes that failed after the retry round.", cs.HandoffErrors)
-	counter("regcoal_handoff_rounds_total", "Topology changes that ran a handoff stream.", cs.HandoffRounds)
-	counter("regcoal_session_imports_total", "Sessions made live via the migration import wire.", cs.SessionImports)
-	counter("regcoal_session_import_failures_total", "Migration import records rejected.", cs.SessionImportFails)
-	fmt.Fprintf(rw, "# HELP regcoal_handoff_active Handoff streams currently running.\n# TYPE regcoal_handoff_active gauge\nregcoal_handoff_active %d\n", cs.HandoffActive)
-	if cs.Epoch > 0 {
-		fmt.Fprintf(rw, "# HELP regcoal_topology_epoch Current cluster membership epoch.\n# TYPE regcoal_topology_epoch gauge\nregcoal_topology_epoch %d\n", cs.Epoch)
-	}
-	if len(cs.SessionReplicaLag) > 0 {
-		fmt.Fprintf(rw, "# HELP regcoal_session_replica_lag Un-acked session log pushes per peer (rises on push, falls on ack).\n# TYPE regcoal_session_replica_lag gauge\n")
-		peers := make([]string, 0, len(cs.SessionReplicaLag))
-		for p := range cs.SessionReplicaLag {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			fmt.Fprintf(rw, "regcoal_session_replica_lag{peer=%q} %d\n", p, cs.SessionReplicaLag[p])
+	m.ReplicaLag = clustered.GaugeVec(obs.Desc{Name: "regcoal_session_replica_lag",
+		Help: "Un-acked session log pushes per peer (rises on push, falls on ack).", Stats: "cluster.session_replica_lag.*"}, "peer")
+	// Prefill the initial peer set so the family is present from the
+	// first scrape; peers that join later appear on their first push.
+	for _, p := range w.cfg.Peers {
+		if p != w.cfg.Self {
+			m.ReplicaLag.With(p)
 		}
 	}
-	fmt.Fprintf(rw, "# HELP regcoal_cluster_lane_rejects_total Admission rejections per lane.\n# TYPE regcoal_cluster_lane_rejects_total counter\n")
-	fmt.Fprintf(rw, "regcoal_cluster_lane_rejects_total{lane=\"fast\"} %d\n", cs.FastLaneRejects)
-	fmt.Fprintf(rw, "regcoal_cluster_lane_rejects_total{lane=\"heavy\"} %d\n", cs.HeavyLaneRejects)
-	fmt.Fprintf(rw, "# HELP regcoal_cluster_lane_depth Admitted solves per lane.\n# TYPE regcoal_cluster_lane_depth gauge\n")
-	fmt.Fprintf(rw, "regcoal_cluster_lane_depth{lane=\"fast\"} %d\n", cs.FastLaneDepth)
-	fmt.Fprintf(rw, "regcoal_cluster_lane_depth{lane=\"heavy\"} %d\n", cs.HeavyLaneDepth)
-}
-
-// The write helpers mirror the service's: marshal once, write exact
-// bytes, nothing non-deterministic in a body.
-
-func (w *Worker) writeJSON(rw http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		w.svc.Metrics().Errors.Add(1)
-		http.Error(rw, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
-	}
-	w.writeRaw(rw, status, data)
-}
-
-func (w *Worker) writeRaw(rw http.ResponseWriter, status int, data []byte) {
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	rw.Write(data)
+	lanes := []string{LaneFast.String(), LaneHeavy.String()}
+	m.LaneRejects = reg.CounterVec(obs.Desc{Name: "regcoal_cluster_lane_rejects_total", Help: "Admission rejections per lane.",
+		Stats: "cluster.*_lane_rejects"}, "lane", lanes...)
+	reg.GaugeFuncVec(obs.Desc{Name: "regcoal_cluster_lane_depth", Help: "Admitted solves per lane.", Stats: "cluster.*_lane_depth"},
+		"lane", lanes, func(lane string) float64 {
+			if lane == LaneHeavy.String() {
+				return float64(w.adm.Depth(LaneHeavy))
+			}
+			return float64(w.adm.Depth(LaneFast))
+		})
+	return m
 }
 
 func (w *Worker) writeError(rw http.ResponseWriter, status int, msg string) {
-	w.writeJSON(rw, status, service.ErrorResponse{Error: msg})
+	w.svc.WriteJSON(rw, status, service.ErrorResponse{Error: msg})
 }

@@ -10,6 +10,7 @@ import (
 
 	"regcoal"
 	"regcoal/internal/corpus"
+	"regcoal/internal/exact"
 	"regcoal/internal/graph"
 )
 
@@ -102,12 +103,12 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 // exact-colorability check per node takes far longer than the timeout.
 func slowInstance(t *testing.T) *corpus.Instance {
 	t.Helper()
-	// exactMaxVertices-sized and half-dense: even with warm solver pools
+	// exact.SearchMaxVertices-sized and half-dense: even with warm solver pools
 	// (the pooled-path PR sped the per-node colorability checks up enough
 	// that the old 40-vertex instance finished inside 50ms) this takes
 	// tens of milliseconds, an order of magnitude over the 5ms timeout
 	// below.
-	const n = exactMaxVertices
+	const n = exact.SearchMaxVertices
 	g := graph.New(n)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
@@ -116,7 +117,7 @@ func slowInstance(t *testing.T) *corpus.Instance {
 			}
 		}
 	}
-	for i := 0; i < exactMaxMoves; i++ {
+	for i := 0; i < exact.SearchMaxMoves; i++ {
 		g.AddAffinity(graph.V(i), graph.V((i+1)%n), int64(i+1))
 	}
 	return &corpus.Instance{Family: "test", Index: 0, Name: "slow-0000", File: &graph.File{G: g, K: 3}}
@@ -125,12 +126,29 @@ func slowInstance(t *testing.T) *corpus.Instance {
 // TestTimeoutCancelsExactSolver: a deliberately slow exact-solver run must
 // be cut off by the per-run timeout, reported as a timeout record, without
 // stalling the rest of the matrix.
+//
+// The slow side is made deterministic rather than raced against the wall
+// clock: the exact column first blocks until its run context is cancelled
+// and only then enters the real search, which must notice the cancellation
+// and report it. The polynomial columns meanwhile get a timeout hundreds
+// of times their running time, so a loaded machine cannot push them over.
 func TestTimeoutCancelsExactSolver(t *testing.T) {
 	insts := []*corpus.Instance{slowInstance(t)}
+	matrix := StandardMatrix()
+	for i := range matrix {
+		if matrix[i].Name != "exact" {
+			continue
+		}
+		search := matrix[i].Run
+		matrix[i].Run = func(ctx context.Context, f *graph.File) (RunStats, error) {
+			<-ctx.Done()
+			return search(ctx, f)
+		}
+	}
 	start := time.Now()
 	recs, err := Run(context.Background(),
-		Config{Parallel: 2, Timeout: 5 * time.Millisecond},
-		insts, StandardMatrix(), nil)
+		Config{Parallel: 2, Timeout: 500 * time.Millisecond},
+		insts, matrix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +219,7 @@ func TestPanicIsolation(t *testing.T) {
 // TestSkippedExact: instances beyond the exact envelope produce skip
 // records, not hours of search.
 func TestSkippedExact(t *testing.T) {
-	g := graph.New(exactMaxVertices + 1)
+	g := graph.New(exact.SearchMaxVertices + 1)
 	g.AddAffinity(0, 1, 1)
 	inst := &corpus.Instance{Family: "test", Name: "big-0000", File: &graph.File{G: g, K: 2}}
 	recs, err := Run(context.Background(), Config{Parallel: 1},

@@ -107,15 +107,6 @@ func IRCRunner() Runner {
 	}
 }
 
-// Exact-search feasibility envelope: branch and bound is 2^|A| over the
-// affinities with an exact-colorability check per leaf, so the runner
-// declines instances beyond these bounds instead of hanging the pool for
-// hours (the per-run timeout still guards the admitted ones).
-const (
-	exactMaxMoves    = 14
-	exactMaxVertices = 48
-)
-
 // ExactRunner evaluates optimal conservative coalescing (minimum
 // uncoalesced weight subject to the quotient staying greedy-k-colorable —
 // the paper's Theorem 3 objective over the class heuristics maintain) by
@@ -125,11 +116,13 @@ func ExactRunner() Runner {
 		Name: "exact",
 		Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
 			g, k := f.G, f.K
-			if g.NumAffinities() > exactMaxMoves || g.N() > exactMaxVertices {
+			// Outside the search envelope the runner declines instead of
+			// hanging the pool (the per-run timeout guards admitted ones).
+			if !exact.InEnvelope(g) {
 				return RunStats{
 					Skipped: true,
 					SkipReason: fmt.Sprintf("instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-						g.NumAffinities(), exactMaxMoves, g.N(), exactMaxVertices),
+						g.NumAffinities(), exact.SearchMaxMoves, g.N(), exact.SearchMaxVertices),
 				}, nil
 			}
 			res, err := exact.OptimalCoalescingCtx(ctx, g, k, exact.TargetGreedy, exact.MinimizeWeight)

@@ -224,6 +224,23 @@ type Result struct {
 	Cost        int64
 }
 
+// Envelope of the optimal-coalescing search as an online or batch member:
+// branch and bound is 2^|A| over the affinities with a colorability check
+// per leaf, so callers racing it under a deadline (the engine's matrix
+// column, the service's anytime portfolio member) decline instances with
+// more than SearchMaxMoves affinities or SearchMaxVertices vertices
+// instead of holding a worker for the whole deadline.
+const (
+	SearchMaxMoves    = 14
+	SearchMaxVertices = 48
+)
+
+// InEnvelope reports whether g is small enough for the optimal-coalescing
+// search (see SearchMaxMoves).
+func InEnvelope(g *graph.Graph) bool {
+	return g.NumAffinities() <= SearchMaxMoves && g.N() <= SearchMaxVertices
+}
+
 // OptimalCoalescing computes, by branch and bound over the affinity list, a
 // coalescing of g minimizing the objective over uncoalesced affinities,
 // subject to the target constraint on the coalesced graph with k colors.

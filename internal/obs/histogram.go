@@ -1,9 +1,10 @@
 // Package obs is the service's allocation-free observability layer:
 // log-bucketed atomic latency histograms (histogram.go), per-request
 // traces with phase spans and portfolio-race timelines captured into
-// pooled fixed-size buffers (trace.go, tracer.go), and a strict
-// Prometheus text-format checker (promlint.go) that keeps every tier's
-// /metrics output honest.
+// pooled fixed-size buffers (trace.go, tracer.go), the metric registry
+// that renders every tier's /metrics and /stats from one declaration
+// per metric (registry.go), and a strict Prometheus text-format checker
+// (promlint.go) that keeps that output honest.
 //
 // The layer is built for the hot path it instruments: recording a
 // latency sample or a span is a handful of atomic operations into
@@ -130,12 +131,12 @@ func (h *Histogram) Summary() QuantileSummary {
 	return s
 }
 
-// WritePrometheus renders the histogram as one Prometheus histogram
-// family. name must be a valid metric name (conventionally ending in
-// _seconds); labels is either empty or a comma-joined list of
+// WritePrometheus renders the histogram's samples within one Prometheus
+// histogram family. name must be a valid metric name (conventionally
+// ending in _seconds); labels is either empty or a comma-joined list of
 // label="value" pairs appended inside every sample's brace set. The
-// caller writes the HELP/TYPE header once per family via
-// WritePrometheusHeader, so several histograms (e.g. one per endpoint)
+// family's HELP/TYPE header is written once by its owner (a registry
+// HistogramVec or the Set), so several histograms (e.g. one per endpoint)
 // can share a family distinguished by labels.
 func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
 	var cum uint64
@@ -157,11 +158,6 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
 	}
 	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, formatSeconds(h.sumNS.Load()))
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, cum)
-}
-
-// WritePrometheusHeader writes a histogram family's HELP/TYPE pair.
-func WritePrometheusHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 }
 
 // formatSeconds renders a nanosecond count as a seconds literal with no

@@ -81,7 +81,7 @@ func TestHistogramPrometheusLints(t *testing.T) {
 	set.ObserveRequest(EndpointSpill, 40*time.Microsecond)
 	var buf bytes.Buffer
 	set.WritePrometheus(&buf)
-	WriteRuntimePrometheus(&buf)
+	Runtime{}.WritePrometheus(&buf)
 	if problems := LintPrometheus(buf.String()); len(problems) != 0 {
 		t.Fatalf("lint problems:\n%s", strings.Join(problems, "\n"))
 	}
@@ -110,7 +110,7 @@ func TestIdleSetPrometheusLints(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("idle set emitted %q, want empty", buf.String())
 	}
-	WriteRuntimePrometheus(&buf)
+	Runtime{}.WritePrometheus(&buf)
 	if problems := LintPrometheus(buf.String()); len(problems) != 0 {
 		t.Fatalf("lint problems:\n%s", strings.Join(problems, "\n"))
 	}

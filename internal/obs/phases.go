@@ -73,7 +73,9 @@ func ParsePhase(name string) Phase {
 
 // Set is a server's full latency-histogram family: one end-to-end
 // histogram per endpoint plus one per (endpoint, phase). Everything is
-// preallocated; recording is atomic adds only.
+// preallocated; recording is atomic adds only. A Set is a registry
+// Family: it renders both histogram families on /metrics and the
+// "latency" section on /stats.
 type Set struct {
 	request [NumEndpoints]Histogram
 	phase   [NumEndpoints][NumPhases]Histogram
@@ -96,12 +98,6 @@ func (s *Set) ObservePhase(e Endpoint, p Phase, d time.Duration) {
 	}
 }
 
-// Request exposes an endpoint's end-to-end histogram.
-func (s *Set) Request(e Endpoint) *Histogram { return &s.request[e] }
-
-// PhaseHistogram exposes one (endpoint, phase) histogram.
-func (s *Set) PhaseHistogram(e Endpoint, p Phase) *Histogram { return &s.phase[e][p] }
-
 // WritePrometheus renders the set as two histogram families:
 // regcoal_request_duration_seconds{endpoint=...} and
 // regcoal_phase_duration_seconds{endpoint=...,phase=...}. Series with
@@ -117,7 +113,7 @@ func (s *Set) WritePrometheus(w io.Writer) {
 			continue
 		}
 		if !headed {
-			WritePrometheusHeader(w, "regcoal_request_duration_seconds", "End-to-end request latency per endpoint.")
+			writeHeader(w, "regcoal_request_duration_seconds", "End-to-end request latency per endpoint.", "histogram")
 			headed = true
 		}
 		s.request[e].WritePrometheus(w, "regcoal_request_duration_seconds", `endpoint="`+e.String()+`"`)
@@ -129,7 +125,7 @@ func (s *Set) WritePrometheus(w io.Writer) {
 				continue
 			}
 			if !headed {
-				WritePrometheusHeader(w, "regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).")
+				writeHeader(w, "regcoal_phase_duration_seconds", "Per-phase request latency (decode, canon, peer, cache, race, encode).", "histogram")
 				headed = true
 			}
 			labels := `endpoint="` + e.String() + `",phase="` + p.String() + `"`
@@ -138,33 +134,21 @@ func (s *Set) WritePrometheus(w io.Writer) {
 	}
 }
 
-// EndpointSummary is one endpoint's /stats latency section.
-type EndpointSummary struct {
-	Total  QuantileSummary            `json:"total"`
-	Phases map[string]QuantileSummary `json:"phases,omitempty"`
-}
-
-// Snapshot summarizes every endpoint with recorded samples, keyed by
-// endpoint name — the /stats "latency" section.
-func (s *Set) Snapshot() map[string]EndpointSummary {
-	out := make(map[string]EndpointSummary)
+// WriteStats adds the /stats "latency" section: for every endpoint with
+// recorded samples, its end-to-end summary under latency.<endpoint>.total
+// and each visited phase's under latency.<endpoint>.phases.<phase>.
+func (s *Set) WriteStats(doc map[string]any) {
 	for e := Endpoint(0); e < NumEndpoints; e++ {
 		if s.request[e].Count() == 0 {
 			continue
 		}
-		es := EndpointSummary{Total: s.request[e].Summary()}
+		setPath(doc, "latency.*.total", e.String(), s.request[e].Summary())
 		for p := Phase(0); p < NumPhases; p++ {
-			if s.phase[e][p].Count() == 0 {
-				continue
+			if s.phase[e][p].Count() > 0 {
+				setPath(doc, "latency.*.phases."+p.String(), e.String(), s.phase[e][p].Summary())
 			}
-			if es.Phases == nil {
-				es.Phases = make(map[string]QuantileSummary, int(NumPhases))
-			}
-			es.Phases[p.String()] = s.phase[e][p].Summary()
 		}
-		out[e.String()] = es
 	}
-	return out
 }
 
 // PhasesHeader renders a trace's phase durations as the compact

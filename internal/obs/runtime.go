@@ -1,32 +1,34 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 )
 
-// WriteRuntimePrometheus renders Go runtime gauges — goroutine count,
-// GC totals, heap occupancy — as Prometheus text. It calls
-// runtime.ReadMemStats, which briefly stops the world, so it runs only
-// on /metrics scrape, never on the request path.
-func WriteRuntimePrometheus(w io.Writer) {
+// Runtime is the Go runtime family — goroutine count, GC totals, heap
+// occupancy — rendered on /metrics only. It calls runtime.ReadMemStats
+// once per scrape (a brief stop-the-world), so it runs only when
+// rendered, never on the request path.
+type Runtime struct{}
+
+func (Runtime) WritePrometheus(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-
-	gauge := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	for _, m := range []struct {
+		name, help, typ string
+		v               float64
+	}{
+		{"regcoal_goroutines", "Current goroutine count.", "gauge", float64(runtime.NumGoroutine())},
+		{"regcoal_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge", float64(ms.HeapAlloc)},
+		{"regcoal_heap_objects", "Number of allocated heap objects.", "gauge", float64(ms.HeapObjects)},
+		{"regcoal_next_gc_bytes", "Heap size target of the next GC cycle.", "gauge", float64(ms.NextGC)},
+		{"regcoal_gc_runs_total", "Completed GC cycles.", "counter", float64(ms.NumGC)},
+		{"regcoal_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter", float64(ms.PauseTotalNs) / 1e9},
+		{"regcoal_alloc_bytes_total", "Cumulative bytes allocated.", "counter", float64(ms.TotalAlloc)},
+	} {
+		writeHeader(w, m.name, m.help, m.typ)
+		writeSample(w, m.name, "", m.v)
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
-	gauge("regcoal_goroutines", "Current goroutine count.", uint64(runtime.NumGoroutine()))
-	gauge("regcoal_heap_alloc_bytes", "Bytes of allocated heap objects.", ms.HeapAlloc)
-	gauge("regcoal_heap_objects", "Number of allocated heap objects.", ms.HeapObjects)
-	gauge("regcoal_next_gc_bytes", "Heap size target of the next GC cycle.", ms.NextGC)
-	counter("regcoal_gc_runs_total", "Completed GC cycles.", uint64(ms.NumGC))
-	fmt.Fprintf(w, "# HELP regcoal_gc_pause_seconds_total Cumulative GC stop-the-world pause time.\n# TYPE regcoal_gc_pause_seconds_total counter\nregcoal_gc_pause_seconds_total %s\n",
-		formatSeconds(int64(ms.PauseTotalNs)))
-	counter("regcoal_alloc_bytes_total", "Cumulative bytes allocated.", ms.TotalAlloc)
 }
+
+func (Runtime) WriteStats(map[string]any) {}

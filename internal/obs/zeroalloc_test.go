@@ -53,6 +53,26 @@ func TestZeroAllocInstrumentation(t *testing.T) {
 		}
 	})
 
+	t.Run("RegistryHandles", func(t *testing.T) {
+		reg := NewRegistry()
+		c := reg.Counter(Desc{Name: "c_total", Help: "c.", Stats: "c"})
+		g := reg.Gauge(Desc{Name: "g", Help: "g.", Stats: "g"})
+		wins := reg.CounterVec(Desc{Name: "w_total", Help: "w.", Stats: "w.*"}, "strategy")
+		lat := reg.HistogramVec(Desc{Name: "l_seconds", Help: "l.", Stats: "l.*"}, "shard")
+		wins.With("aggressive")
+		lat.With("http://127.0.0.1:1")
+		allocs := testing.AllocsPerRun(1000, func() {
+			c.Inc()
+			g.Add(1)
+			g.Add(-1)
+			wins.With("aggressive").Inc()
+			lat.With("http://127.0.0.1:1").Observe(time.Millisecond)
+		})
+		if allocs != 0 {
+			t.Errorf("registry hot path allocates %.1f/op, want 0", allocs)
+		}
+	})
+
 	t.Run("TraceIDMint", func(t *testing.T) {
 		allocs := testing.AllocsPerRun(1000, func() {
 			_ = tracer.NewID()

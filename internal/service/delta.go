@@ -137,12 +137,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
 		return
 	}
-	s.metrics.DeltaRequests.Add(1)
+	s.metrics.Requests.With("delta").Inc()
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 
-	tr := s.StartTrace(obs.EndpointDelta, r)
-	defer s.FinishTrace(tr)
+	tr := s.startTrace(obs.EndpointDelta, r)
+	defer s.finishTrace(tr)
 	w.Header().Set(TraceIDHeader, tr.ID.String())
 	fail := func(err error) {
 		err = sessionError(err)
@@ -270,5 +270,5 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if h := obs.BuildPhasesHeader(tr); h != "" {
 		w.Header().Set(PhasesHeader, h)
 	}
-	s.writeRaw(w, http.StatusOK, data)
+	s.WriteRaw(w, http.StatusOK, data)
 }

@@ -195,7 +195,11 @@ func TestMetricsExposeCacheAndCollapseCounters(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("/stats: %d", st)
 	}
-	var stats service.Stats
+	var stats struct {
+		CacheHits      int64 `json:"cache_hits"`
+		CacheEvictions int64 `json:"cache_evictions"`
+		BatchRequests  int64 `json:"batch_requests"`
+	}
 	if err := json.Unmarshal(statsBody, &stats); err != nil {
 		t.Fatal(err)
 	}

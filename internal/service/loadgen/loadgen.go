@@ -477,8 +477,10 @@ func fire(ctx context.Context, client *http.Client, url, endpoint string, job Jo
 	return sm
 }
 
-// FetchStats retrieves and decodes the service's /stats snapshot.
-func FetchStats(ctx context.Context, client *http.Client, baseURL string) (*service.Stats, error) {
+// FetchStats retrieves the server's /stats document, decoded as is: its
+// keys are whatever the server's metric registry declares (a worker adds
+// its "cluster" section, a router has its own set).
+func FetchStats(ctx context.Context, client *http.Client, baseURL string) (map[string]any, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -498,11 +500,11 @@ func FetchStats(ctx context.Context, client *http.Client, baseURL string) (*serv
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("loadgen: /stats status %d: %s", resp.StatusCode, truncate(body))
 	}
-	var stats service.Stats
+	var stats map[string]any
 	if err := json.Unmarshal(body, &stats); err != nil {
 		return nil, fmt.Errorf("loadgen: decoding /stats: %v", err)
 	}
-	return &stats, nil
+	return stats, nil
 }
 
 func truncate(b []byte) string {

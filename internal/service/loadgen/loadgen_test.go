@@ -86,7 +86,7 @@ func TestFetchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CoalesceRequests != 7 || stats.SpillRequests != 3 {
+	if stats["coalesce_requests"] != 7.0 || stats["spill_requests"] != 3.0 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }

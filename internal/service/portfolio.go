@@ -179,11 +179,11 @@ func DefaultPortfolio() []string {
 // coalesceRacers resolves strategy names into portfolio members. Names
 // come from the coalesce registry; "exact" is the service's anytime
 // branch-and-bound member.
-func (s *Server) coalesceRacers(f *graph.File, names []string) ([]racer[*coalesce.Result], error) {
+func coalesceRacers(f *graph.File, names []string) ([]racer[*coalesce.Result], error) {
 	members := make([]racer[*coalesce.Result], 0, len(names))
 	for _, name := range names {
 		if name == "exact" {
-			members = append(members, s.exactRacer(f))
+			members = append(members, exactRacer(f))
 			continue
 		}
 		st, ok := coalesce.LookupStrategy(name)
@@ -203,13 +203,13 @@ func (s *Server) coalesceRacers(f *graph.File, names []string) ([]racer[*coalesc
 // exactRacer wraps the exact solver as an anytime member: outside its
 // feasibility envelope it declines; canceled mid-search it reports the
 // best coalescing found so far instead of an error.
-func (s *Server) exactRacer(f *graph.File) racer[*coalesce.Result] {
+func exactRacer(f *graph.File) racer[*coalesce.Result] {
 	return racer[*coalesce.Result]{
 		name: "exact",
 		run: func(ctx context.Context) (*coalesce.Result, error) {
-			if f.G.NumAffinities() > s.cfg.ExactMaxMoves || f.G.N() > s.cfg.ExactMaxVertices {
+			if !exact.InEnvelope(f.G) {
 				return nil, fmt.Errorf("%w: instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-					coalesce.ErrInapplicable, f.G.NumAffinities(), s.cfg.ExactMaxMoves, f.G.N(), s.cfg.ExactMaxVertices)
+					coalesce.ErrInapplicable, f.G.NumAffinities(), exact.SearchMaxMoves, f.G.N(), exact.SearchMaxVertices)
 			}
 			res, _ := exact.OptimalCoalescingCtx(ctx, f.G, f.K, exact.TargetGreedy, exact.MinimizeWeight)
 			if res.P == nil {

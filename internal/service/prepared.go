@@ -113,7 +113,7 @@ func (s *Server) PrepareTraced(kind Kind, req *Request, tr *obs.Trace) (*Prepare
 	// Validate up front so bad names are 400s, not queued work.
 	switch kind {
 	case KindCoalesce:
-		if _, err := s.coalesceRacers(inst, strategies); err != nil {
+		if _, err := coalesceRacers(inst, strategies); err != nil {
 			return nil, s.countBad(badRequest("%v", err))
 		}
 	case KindAllocate:
@@ -235,7 +235,7 @@ func (s *Server) recordComputed(e *entry, tr *obs.Trace) {
 	if e.deadlineHit {
 		s.metrics.DeadlineHits.Add(1)
 	}
-	s.metrics.StrategyWon(e.strategy)
+	s.metrics.StrategyWins.With(e.strategy).Inc()
 	noteEntry(tr, e)
 }
 
@@ -323,7 +323,7 @@ func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*e
 		}
 		return spillEntry(canon.Perm, best, winner, hit), nil
 	}
-	members, err := s.coalesceRacers(inst, strategies)
+	members, err := coalesceRacers(inst, strategies)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,9 @@
 // internal/cluster) in two steps: Prepare parses and canonicalizes a
 // request into a Prepared carrying the cache key, and SolvePrepared
 // answers it — cache, singleflight, pool and rendering included — as the
-// exact bytes the HTTP handler would write. See prepared.go.
+// exact bytes the HTTP handler would write (see prepared.go). The
+// handlers themselves are exported as SolveHandler and BatchHandler, so
+// an embedder serves the endpoints with its own solve path substituted.
 package service
 
 import (
@@ -80,9 +82,6 @@ type Config struct {
 	// Portfolio is the default coalescing strategy portfolio (default
 	// DefaultPortfolio()).
 	Portfolio []string
-	// ExactMaxMoves/ExactMaxVertices bound the instances the anytime
-	// exact member admits (defaults 14 / 48, as in the batch engine).
-	ExactMaxMoves, ExactMaxVertices int
 	// SpillExactNodes is the branch-and-bound node budget of the spill
 	// endpoint's exact member (default 16384, ~tens of milliseconds):
 	// beyond it the member answers with its anytime incumbent instead of
@@ -127,12 +126,6 @@ func (c *Config) fillDefaults() {
 	if len(c.Portfolio) == 0 {
 		c.Portfolio = DefaultPortfolio()
 	}
-	if c.ExactMaxMoves <= 0 {
-		c.ExactMaxMoves = 14
-	}
-	if c.ExactMaxVertices <= 0 {
-		c.ExactMaxVertices = 48
-	}
 	if c.SpillExactNodes <= 0 {
 		c.SpillExactNodes = 1 << 14
 	}
@@ -152,6 +145,7 @@ type Server struct {
 	cfg      Config
 	pool     *engine.Pool
 	cache    *Cache
+	reg      *obs.Registry
 	metrics  *Metrics
 	lat      *obs.Set
 	tracer   *obs.Tracer
@@ -167,7 +161,7 @@ type Server struct {
 // New builds a Server and its worker pool. Call Close to drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if _, err := (&Server{cfg: cfg}).coalesceRacers(&graph.File{G: graph.New(1), K: 1}, cfg.Portfolio); err != nil {
+	if _, err := coalesceRacers(&graph.File{G: graph.New(1), K: 1}, cfg.Portfolio); err != nil {
 		return nil, fmt.Errorf("service: bad portfolio: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -175,23 +169,24 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		pool:      engine.NewPool(cfg.Workers, cfg.QueueCap),
 		cache:     NewCache(cfg.CacheCapacity, cfg.CacheShards),
-		metrics:   newMetrics(),
+		reg:       obs.NewRegistry(),
 		lat:       obs.NewSet(),
 		tracer:    obs.NewTracer(128, 32, time.Millisecond),
 		mux:       http.NewServeMux(),
 		baseCtx:   ctx,
 		cancelAll: cancel,
-		sessions: session.NewStore(session.StoreConfig{
-			MaxSessions: cfg.MaxSessions,
-			TTL:         cfg.SessionTTL,
-			Solver:      session.SolverConfig{Budget: cfg.SessionBudget},
-		}),
 	}
-	s.mux.HandleFunc("/v1/coalesce", s.handleSolve(KindCoalesce))
+	s.declareMetrics()
+	s.sessions = session.NewStore(session.StoreConfig{
+		MaxSessions: cfg.MaxSessions,
+		TTL:         cfg.SessionTTL,
+		Solver:      session.SolverConfig{Budget: cfg.SessionBudget},
+	}, session.NewMetrics(s.reg))
+	for _, kind := range []Kind{KindCoalesce, KindAllocate, KindSpill} {
+		s.mux.HandleFunc("/v1/"+kind.String(), s.SolveHandler(kind, s.solveLocal, s.SolveBatchEntry))
+	}
 	s.mux.HandleFunc("/v1/coalesce/delta", s.handleDelta)
-	s.mux.HandleFunc("/v1/allocate", s.handleSolve(KindAllocate))
-	s.mux.HandleFunc("/v1/spill", s.handleSolve(KindSpill))
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
+	s.mux.HandleFunc("/v1/batch", s.BatchHandler(s.SolveBatchEntry))
 	s.mux.HandleFunc("/healthz", s.handleLivez)
 	s.mux.HandleFunc("/livez", s.handleLivez)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -206,6 +201,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics exposes the counters (for tests and embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
+
+// Registry exposes the metric registry behind /metrics and /stats, so an
+// embedder (the cluster worker) declares its own families on the same
+// surfaces.
+func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Config returns the server's effective (default-filled) configuration.
 func (s *Server) Config() Config { return s.cfg }
@@ -300,12 +300,17 @@ func ErrorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
+// StatusError is an error that answers with the given HTTP status and
+// message (embedders' own refusals, such as the worker's full admission
+// lane, travel through the solve path as these).
+func StatusError(status int, msg string) error { return &httpError{status: status, msg: msg} }
+
 func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// EndpointOf maps a solve kind to its observability endpoint.
-func EndpointOf(kind Kind) obs.Endpoint {
+// endpointOf maps a solve kind to its observability endpoint.
+func endpointOf(kind Kind) obs.Endpoint {
 	switch kind {
 	case KindAllocate:
 		return obs.EndpointAllocate
@@ -315,21 +320,20 @@ func EndpointOf(kind Kind) obs.Endpoint {
 	return obs.EndpointCoalesce
 }
 
-// StartTrace begins a pooled trace for one request: the propagated
+// startTrace begins a pooled trace for one request: the propagated
 // X-Regcoal-Trace-Id is adopted when present (a fresh ID is minted
-// otherwise) and the X-Regcoal-Family label is captured. Exported for
-// the cluster worker, which runs the same solve path behind its own mux.
-func (s *Server) StartTrace(e obs.Endpoint, r *http.Request) *obs.Trace {
+// otherwise) and the X-Regcoal-Family label is captured.
+func (s *Server) startTrace(e obs.Endpoint, r *http.Request) *obs.Trace {
 	id, _ := obs.ParseTraceID(r.Header.Get(TraceIDHeader))
 	tr := s.tracer.Start(e, id)
 	tr.Family = r.Header.Get(FamilyHeader)
 	return tr
 }
 
-// FinishTrace closes the trace, feeds its end-to-end and per-phase
+// finishTrace closes the trace, feeds its end-to-end and per-phase
 // durations into the latency histograms, and files it into the
 // recent/slow rings. Allocation-free in steady state.
-func (s *Server) FinishTrace(tr *obs.Trace) {
+func (s *Server) finishTrace(tr *obs.Trace) {
 	if tr == nil {
 		return
 	}
@@ -346,34 +350,45 @@ func (s *Server) FinishTrace(tr *obs.Trace) {
 // /debug/requests route).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// Latency exposes the latency histogram set (for embedders and tests).
-func (s *Server) Latency() *obs.Set { return s.lat }
-
-// TraceWanted reports whether the request opted into a full solve
+// traceWanted reports whether the request opted into a full solve
 // timeline in the response body (?trace=1 or X-Regcoal-Trace: 1).
-func TraceWanted(r *http.Request) bool {
+func traceWanted(r *http.Request) bool {
 	return r.URL.Query().Get("trace") == "1" || r.Header.Get(TraceHeader) == "1"
 }
 
-func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
+// SolveFunc answers one prepared request: the response body, its cache
+// disposition ("hit", "miss", "collapse"), and the tier that answered
+// for the X-Regcoal-Tier header ("" omits it). BatchItemFunc answers one
+// prepared batch element in place, with its disposition. The server's
+// own are solveLocal and SolveBatchEntry; a cluster worker serves the
+// same endpoints through SolveHandler and BatchHandler with its
+// tiered-cache path substituted, so decode rules, counters, traces and
+// bodies cannot drift apart.
+type (
+	SolveFunc     func(p *Prepared, tr *obs.Trace) (body []byte, disposition, tier string, err error)
+	BatchItemFunc func(p *Prepared) (BatchEntry, string)
+)
+
+func (s *Server) solveLocal(p *Prepared, tr *obs.Trace) ([]byte, string, string, error) {
+	body, disposition, err := s.SolvePreparedTraced(p, tr)
+	return body, disposition, "", err
+}
+
+// SolveHandler serves a solve endpoint of the given kind, answering
+// single requests through solve and legacy in-request batches through
+// item.
+func (s *Server) SolveHandler(kind Kind, solve SolveFunc, item BatchItemFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			s.writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
 			return
 		}
-		switch kind {
-		case KindCoalesce:
-			s.metrics.CoalesceRequests.Add(1)
-		case KindAllocate:
-			s.metrics.AllocateRequests.Add(1)
-		case KindSpill:
-			s.metrics.SpillRequests.Add(1)
-		}
+		s.metrics.Requests.With(kind.String()).Inc()
 		s.metrics.InFlight.Add(1)
 		defer s.metrics.InFlight.Add(-1)
 
-		tr := s.StartTrace(EndpointOf(kind), r)
-		defer s.FinishTrace(tr)
+		tr := s.startTrace(endpointOf(kind), r)
+		defer s.finishTrace(tr)
 		w.Header().Set(TraceIDHeader, tr.ID.String())
 		fail := func(err error) {
 			tr.Status = ErrorStatus(err)
@@ -386,32 +401,32 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		dec := json.NewDecoder(body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			fail(badRequest("decoding request: %v", err))
+			fail(s.countBad(badRequest("decoding request: %v", err)))
 			return
 		}
 
 		if len(req.Batch) > 0 {
 			if req.Graph != nil {
-				fail(badRequest("use either graph or batch, not both"))
+				fail(s.countBad(badRequest("use either graph or batch, not both")))
 				return
 			}
 			if len(req.Batch) > s.cfg.MaxBatch {
-				fail(badRequest("batch carries %d graphs, limit %d", len(req.Batch), s.cfg.MaxBatch))
+				fail(s.countBad(badRequest("batch carries %d graphs, limit %d", len(req.Batch), s.cfg.MaxBatch)))
 				return
 			}
 			tr.EndPhase()
-			resp := s.runBatch(kind, req.Batch)
+			resp := s.runBatch(kind, req.Batch, item)
 			tr.BeginPhase(obs.PhaseEncode)
 			data, err := json.Marshal(resp)
 			tr.EndPhase()
 			if err != nil {
-				s.metrics.Errors.Add(1)
+				s.metrics.Errors.Inc()
 				tr.Status = http.StatusInternalServerError
 				http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 				return
 			}
 			tr.Status = http.StatusOK
-			s.writeRaw(w, http.StatusOK, data)
+			s.WriteRaw(w, http.StatusOK, data)
 			return
 		}
 		p, err := s.PrepareTraced(kind, &req, tr)
@@ -419,7 +434,7 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 			fail(err)
 			return
 		}
-		body2, disposition, err := s.SolvePreparedTraced(p, tr)
+		body2, disposition, tier, err := solve(p, tr)
 		if err != nil {
 			fail(err)
 			return
@@ -427,61 +442,66 @@ func (s *Server) handleSolve(kind Kind) http.HandlerFunc {
 		tr.Cache = disposition
 		tr.Status = http.StatusOK
 		w.Header().Set("X-Regcoal-Cache", disposition)
+		if tier != "" {
+			w.Header().Set("X-Regcoal-Tier", tier)
+		}
 		if h := obs.BuildPhasesHeader(tr); h != "" {
 			w.Header().Set(PhasesHeader, h)
 		}
-		if TraceWanted(r) {
+		if traceWanted(r) {
 			// Opt-in only: the spliced body is the one deliberate departure
 			// from byte-identity, and the splice leaves every preceding byte
 			// untouched.
 			tr.DurNS = tr.Since()
 			body2 = obs.SpliceTraceJSON(body2, tr)
 		}
-		s.writeRaw(w, http.StatusOK, body2)
+		s.WriteRaw(w, http.StatusOK, body2)
 	}
 }
 
-// handleBatch serves POST /v1/batch: many instances of one kind decoded
-// in a single pass and fanned out onto the pool. In a cluster, the
-// router splits these per shard; single-node, the amortization is the
-// one JSON decode and connection for the whole set.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
-		return
-	}
-	s.metrics.BatchRequests.Add(1)
-	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
+// BatchHandler serves POST /v1/batch: many instances of one kind decoded
+// in a single pass and fanned out onto the pool, each answered by item.
+// In a cluster, the router splits these per shard; single-node, the
+// amortization is the one JSON decode and connection for the whole set.
+func (s *Server) BatchHandler(item BatchItemFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			s.writeError(w, &httpError{status: http.StatusMethodNotAllowed, msg: "POST required"})
+			return
+		}
+		s.metrics.BatchRequests.Inc()
+		s.metrics.InFlight.Add(1)
+		defer s.metrics.InFlight.Add(-1)
 
-	var req BatchSolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("decoding batch request: %v", err))
-		return
+		var req BatchSolveRequest
+		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			s.writeError(w, s.countBad(badRequest("decoding batch request: %v", err)))
+			return
+		}
+		kind, err := ParseKind(req.Kind)
+		if err != nil {
+			s.writeError(w, s.countBad(badRequest("%v", err)))
+			return
+		}
+		if len(req.Items) == 0 {
+			s.writeError(w, s.countBad(badRequest("empty batch")))
+			return
+		}
+		if len(req.Items) > s.cfg.MaxBatch {
+			s.writeError(w, s.countBad(badRequest("batch carries %d graphs, limit %d", len(req.Items), s.cfg.MaxBatch)))
+			return
+		}
+		s.WriteJSON(w, http.StatusOK, s.runBatch(kind, req.Items, item))
 	}
-	kind, err := ParseKind(req.Kind)
-	if err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	if len(req.Items) == 0 {
-		s.writeError(w, badRequest("empty batch"))
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatch {
-		s.writeError(w, badRequest("batch carries %d graphs, limit %d", len(req.Items), s.cfg.MaxBatch))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, s.runBatch(kind, req.Items))
 }
 
-// runBatch fans the items out onto the pool with bounded concurrency and
-// collects all results in request order. Per-element failures (including
-// 429 saturation) are reported in place; the batch itself answers 200.
-func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
+// runBatch fans the items out with bounded concurrency and collects all
+// results in request order. Per-element failures (including 429
+// saturation) are reported in place; the batch itself answers 200.
+func (s *Server) runBatch(kind Kind, items []Request, item BatchItemFunc) *BatchResponse {
 	s.metrics.BatchGraphs.Add(int64(len(items)))
 	resp := &BatchResponse{Results: make([]BatchEntry, len(items))}
 	// Fan out with bounded concurrency: canonicalization and parsing run
@@ -497,7 +517,7 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := range idxCh {
-				resp.Results[i] = s.solveBatchItem(kind, &items[i])
+				resp.Results[i] = s.solveBatchItem(kind, &items[i], item)
 			}
 		}()
 	}
@@ -512,7 +532,7 @@ func (s *Server) runBatch(kind Kind, items []Request) *BatchResponse {
 }
 
 // solveBatchItem answers one batch element as an in-place entry.
-func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
+func (s *Server) solveBatchItem(kind Kind, sub *Request, item BatchItemFunc) BatchEntry {
 	if len(sub.Batch) > 0 {
 		return BatchEntry{Error: "batch elements must not nest batches"}
 	}
@@ -520,14 +540,14 @@ func (s *Server) solveBatchItem(kind Kind, sub *Request) BatchEntry {
 	if err != nil {
 		return BatchEntry{Error: err.Error()}
 	}
-	e, _ := s.SolveBatchEntry(p)
+	e, _ := item(p)
 	return e
 }
 
 // SolveBatchEntry answers a prepared request as a batch entry plus the
-// cache disposition ("hit", "miss", "collapse", or "" on error). Exported
-// for the cluster worker, which prepares items itself to consult the
-// tiered cache before solving.
+// cache disposition ("hit", "miss", "collapse", or "" on error): the
+// server's own BatchItemFunc, which the cluster worker wraps with its
+// tiered cache.
 func (s *Server) SolveBatchEntry(p *Prepared) (BatchEntry, string) {
 	out, disposition, err := s.solvePreparedAny(p, nil)
 	if err != nil {
@@ -543,10 +563,6 @@ func (s *Server) SolveBatchEntry(p *Prepared) (BatchEntry, string) {
 	}
 	return BatchEntry{Error: "internal: unknown result type"}, ""
 }
-
-// RunBatch answers a legacy in-request batch (Request.Batch) with bounded
-// pool fan-out. Exported for the cluster worker's solve endpoints.
-func (s *Server) RunBatch(kind Kind, items []Request) *BatchResponse { return s.runBatch(kind, items) }
 
 func (s *Server) render(kind Kind, inst *graph.File, canon *graph.Canonical, e *entry) any {
 	switch kind {
@@ -564,15 +580,15 @@ func (s *Server) countBad(e *httpError) *httpError {
 }
 
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -580,46 +596,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.WritePrometheus(w)
 }
 
-// WritePrometheus renders the counter set, the latency histogram
-// families, pool gauges, and Go runtime gauges in Prometheus exposition
-// format (the body of GET /metrics, exposed for embedders that append
-// their own families).
-func (s *Server) WritePrometheus(w io.Writer) {
-	s.metrics.writePrometheus(w, s.cache.Len(), s.pool.QueueDepth(), s.cache.Evictions())
-	s.sessions.Metrics().WritePrometheus(w)
-	fmt.Fprintf(w, "# HELP regcoal_pool_workers Worker goroutines in the solve pool.\n# TYPE regcoal_pool_workers gauge\nregcoal_pool_workers %d\n", s.cfg.Workers)
-	s.lat.WritePrometheus(w)
-	obs.WriteRuntimePrometheus(w)
-}
-
-// StatsSnapshot returns the JSON counter snapshot served on GET /stats
-// (exposed for embedders that wrap it with their own sections).
-func (s *Server) StatsSnapshot() Stats {
-	st := s.metrics.snapshot(s.cache.Len(), s.pool.QueueDepth(), s.cache.Evictions())
-	st.Latency = s.lat.Snapshot()
-	sess := s.sessions.Metrics().Snapshot()
-	st.Sessions = &sess
-	return st
-}
+// WritePrometheus renders the registry — counters, latency histogram
+// families, pool gauges, Go runtime gauges, and any families an embedder
+// declared — in Prometheus exposition format (the body of GET /metrics).
+func (s *Server) WritePrometheus(w io.Writer) { s.reg.WritePrometheus(w) }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.StatsSnapshot())
+	s.WriteJSON(w, http.StatusOK, s.reg.Stats())
 }
 
-// writeJSON marshals once and writes the exact bytes: the body of a
+// WriteJSON marshals once and writes the exact bytes: the body of a
 // repeated request must be byte-identical, so nothing non-deterministic
-// may enter here.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// may enter here. Exported, with WriteRaw, for the cluster worker's own
+// endpoints.
+func (s *Server) WriteJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		s.metrics.Errors.Add(1)
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
 		return
 	}
-	s.writeRaw(w, status, data)
+	s.WriteRaw(w, status, data)
 }
 
-func (s *Server) writeRaw(w http.ResponseWriter, status int, data []byte) {
+func (s *Server) WriteRaw(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(data)
@@ -630,5 +630,5 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	if !errors.As(err, &he) {
 		he = &httpError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
-	s.writeJSON(w, he.status, ErrorResponse{Error: he.msg})
+	s.WriteJSON(w, he.status, ErrorResponse{Error: he.msg})
 }

@@ -265,7 +265,12 @@ func TestObservabilityEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
+	var stats struct {
+		CoalesceRequests int64 `json:"coalesce_requests"`
+		CacheHits        int64 `json:"cache_hits"`
+		CacheMisses      int64 `json:"cache_misses"`
+		CacheEntries     int   `json:"cache_entries"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -375,8 +380,8 @@ func TestSpillRepeatedRequestIsCachedByteIdentical(t *testing.T) {
 	if s.Metrics().CacheHits.Load() != hitsBefore+1 {
 		t.Fatal("cache hit counter did not increment")
 	}
-	if s.Metrics().SpillRequests.Load() != 2 {
-		t.Fatalf("spill request counter = %d, want 2", s.Metrics().SpillRequests.Load())
+	if s.Metrics().Requests.With("spill").Load() != 2 {
+		t.Fatalf("spill request counter = %d, want 2", s.Metrics().Requests.With("spill").Load())
 	}
 }
 

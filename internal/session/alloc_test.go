@@ -25,7 +25,7 @@ func TestDeltaApplyZeroAlloc(t *testing.T) {
 		}
 		g.AddAffinity(base, base+12, int64(c+1))
 	}
-	s, err := New("s-gate", &graph.File{G: g, K: 3}, 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-gate", &graph.File{G: g, K: 3}, 0, SolverConfig{}, "h", NewMetrics(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -60,7 +60,7 @@ func TestExportRecordValidate(t *testing.T) {
 }
 
 func TestStoreExportPinsLiveState(t *testing.T) {
-	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute})
+	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute}, nil)
 	s, err := st.CreateWithID("s-exp", base4(t), 0, "hash-exp")
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestStoreExportPinsLiveState(t *testing.T) {
 }
 
 func TestStoreImportDelegatesToReplay(t *testing.T) {
-	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute})
+	st := NewStore(StoreConfig{MaxSessions: 4, TTL: time.Minute}, nil)
 	rec := validRecord()
 
 	var gotID, gotHash string

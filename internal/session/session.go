@@ -127,9 +127,13 @@ type Session struct {
 // normalized (parallel moves merged by weight sum, self-moves dropped) so
 // that the solve is insensitive to the base file's affinity order. k
 // overrides f.K when positive. The initial solve runs immediately (path
-// "fresh"), so the create response carries a result.
+// "fresh"), so the create response carries a result. A nil m counts into
+// unrendered handles.
 func New(id string, f *graph.File, k int, cfg SolverConfig, baseHash string, m *Metrics) (*Session, error) {
 	cfg.fillDefaults()
+	if m == nil {
+		m = NewMetrics(nil)
+	}
 	if k <= 0 {
 		k = f.K
 	}
@@ -227,9 +231,7 @@ func (s *Session) ApplyAt(version int64, deltas []Delta) (*Solve, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.version != version {
-		if s.metrics != nil {
-			s.metrics.Conflicts.Add(1)
-		}
+		s.metrics.Conflicts.Inc()
 		return nil, Errf(http.StatusConflict, "version conflict: session at %d, request expects %d", s.version, version)
 	}
 	return s.applyLocked(deltas)
@@ -244,9 +246,7 @@ func (s *Session) ApplyRender(version int64, deltas []Delta, render func(*Solve)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if version >= 0 && s.version != version {
-		if s.metrics != nil {
-			s.metrics.Conflicts.Add(1)
-		}
+		s.metrics.Conflicts.Inc()
 		return nil, Errf(http.StatusConflict, "version conflict: session at %d, request expects %d", s.version, version)
 	}
 	sol, err := s.applyLocked(deltas)
@@ -261,19 +261,15 @@ func (s *Session) applyLocked(deltas []Delta) (*Solve, error) {
 		return nil, Errf(http.StatusBadRequest, "empty deltas")
 	}
 	if err := s.validate(deltas); err != nil {
-		if s.metrics != nil {
-			s.metrics.Rejected.Add(1)
-		}
+		s.metrics.Rejected.Inc()
 		return nil, err
 	}
 	for i := range deltas {
 		s.applyOne(&deltas[i])
 	}
 	s.version++
-	if s.metrics != nil {
-		s.metrics.Applies.Add(1)
-		s.metrics.Deltas.Add(int64(len(deltas)))
-	}
+	s.metrics.Applies.Inc()
+	s.metrics.Deltas.Add(int64(len(deltas)))
 	s.resolve()
 	return &s.cur, nil
 }

@@ -22,7 +22,7 @@ func base4(t *testing.T) *graph.File {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", NewMetrics(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionVertexChurn(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", NewMetrics(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -116,7 +116,7 @@ func TestSessionVertexChurn(t *testing.T) {
 }
 
 func TestSessionRejectsAtomically(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", NewMetrics(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestSessionRejectsAtomically(t *testing.T) {
 }
 
 func TestApplyAtVersionConflict(t *testing.T) {
-	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", &Metrics{})
+	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", NewMetrics(nil))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestApplyAtVersionConflict(t *testing.T) {
 func TestStoreLRUAndTTL(t *testing.T) {
 	now := time.Unix(1000, 0)
 	st := NewStore(StoreConfig{MaxSessions: 2, TTL: time.Minute,
-		now: func() time.Time { return now }})
+		now: func() time.Time { return now }}, nil)
 	a, err := st.Create(base4(t), 0, "ha")
 	if err != nil {
 		t.Fatalf("create a: %v", err)
@@ -212,7 +212,7 @@ func asClientError(err error, target **ClientError) bool {
 // the ChordalWins counter standing still — while the conservative and
 // optimistic members keep the session's answers correct.
 func TestChordalFallbackMidSession(t *testing.T) {
-	m := &Metrics{}
+	m := NewMetrics(nil)
 	// Chordal base: C4 plus the 0-2 chord, with an affinity the solver
 	// can coalesce, so the chordal member competes for the win.
 	s, err := New("s-test", base4(t), 0, SolverConfig{}, "h", m)

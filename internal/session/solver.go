@@ -86,9 +86,7 @@ func (s *Session) resolve() {
 		// last real solve, so a render right after an apply still reports
 		// how that solve was obtained.
 		s.cur.Version = s.version
-		if s.metrics != nil {
-			s.metrics.PathCached.Add(1)
-		}
+		s.metrics.Solves.With(string(PathCached)).Inc()
 		return
 	}
 	n := s.g.N()
@@ -165,16 +163,7 @@ func (s *Session) resolve() {
 	default:
 		s.cur.Path = PathMemo
 	}
-	if s.metrics != nil {
-		switch s.cur.Path {
-		case PathFresh:
-			s.metrics.PathFresh.Add(1)
-		case PathIncremental:
-			s.metrics.PathIncremental.Add(1)
-		default:
-			s.metrics.PathMemo.Add(1)
-		}
-	}
+	s.metrics.Solves.With(string(s.cur.Path)).Inc()
 }
 
 // bfsAffected flood-fills from the alive dirty vertices over both
@@ -343,8 +332,8 @@ func (s *Session) solveComponent(vs []graph.V, local []int) *compResult {
 	if res := coalesce.Optimistic(cg, s.k); cmpResults(res, best) > 0 {
 		best, bestName = res, "optimistic"
 	}
-	if bestName == "chordal-inc" && s.metrics != nil {
-		s.metrics.ChordalWins.Add(1)
+	if bestName == "chordal-inc" {
+		s.metrics.ChordalWins.Inc()
 	}
 
 	r := &compResult{

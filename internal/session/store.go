@@ -48,7 +48,7 @@ type Store struct {
 	idCtr   uint64
 	idSeed  uint64
 	flights singleflight.Group
-	metrics Metrics
+	metrics *Metrics
 
 	hookMu    sync.Mutex
 	evictHook func(id string)
@@ -81,19 +81,24 @@ func (st *Store) notifyEvict(ids []string) {
 	}
 }
 
-// NewStore builds an empty Store.
-func NewStore(cfg StoreConfig) *Store {
+// NewStore builds an empty Store counting into m (nil: unrendered
+// counters, see NewMetrics).
+func NewStore(cfg StoreConfig, m *Metrics) *Store {
 	cfg.fillDefaults()
+	if m == nil {
+		m = NewMetrics(nil)
+	}
 	return &Store{
-		cfg:    cfg,
-		byID:   make(map[string]*list.Element),
-		ll:     list.New(),
-		idSeed: uint64(time.Now().UnixNano()),
+		cfg:     cfg,
+		metrics: m,
+		byID:    make(map[string]*list.Element),
+		ll:      list.New(),
+		idSeed:  uint64(time.Now().UnixNano()),
 	}
 }
 
 // Metrics exposes the session counter set.
-func (st *Store) Metrics() *Metrics { return &st.metrics }
+func (st *Store) Metrics() *Metrics { return st.metrics }
 
 // Len reports the live session count.
 func (st *Store) Len() int {
@@ -132,7 +137,7 @@ func (st *Store) Create(f *graph.File, k int, baseHash string) (*Session, error)
 // ClientError (the session does not need rebuilding).
 func (st *Store) CreateWithID(id string, f *graph.File, k int, baseHash string) (*Session, error) {
 	// Build outside the store lock: creation solves the base instance.
-	s, err := New(id, f, k, st.cfg.Solver, baseHash, &st.metrics)
+	s, err := New(id, f, k, st.cfg.Solver, baseHash, st.metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +162,7 @@ func (st *Store) CreateWithID(id string, f *graph.File, k int, baseHash string) 
 	st.notifyEvict(evicted)
 
 	st.metrics.Created.Add(1)
-	st.metrics.Active.Store(int64(st.Len()))
+	st.metrics.Active.Set(int64(st.Len()))
 	return s, nil
 }
 
@@ -190,7 +195,7 @@ func (st *Store) Close(id string) error {
 		return Errf(http.StatusNotFound, "unknown session %q (never created, expired, or evicted)", id)
 	}
 	st.metrics.Closed.Add(1)
-	st.metrics.Active.Store(int64(st.Len()))
+	st.metrics.Active.Set(int64(st.Len()))
 	return nil
 }
 
@@ -227,7 +232,7 @@ func (st *Store) expireLocked(now time.Time) {
 		st.removeLocked(el)
 		st.metrics.Expired.Add(1)
 	}
-	st.metrics.Active.Store(int64(st.ll.Len()))
+	st.metrics.Active.Set(int64(st.ll.Len()))
 }
 
 func (st *Store) removeLocked(el *list.Element) {
