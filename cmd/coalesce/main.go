@@ -6,10 +6,10 @@
 //	coalesce -in instance.g -strategy brute [-k 6] [-compare] [-color]
 //	coalesce -in instance.col -dimacs -strategy exact -timeout 5s -json
 //
-// With -compare, the full strategy matrix (every registry strategy plus
-// the IRC allocator and the exact solver) runs and a comparison is
-// printed. With -json, results stream as engine records (the same JSONL
-// schema cmd/bench emits). -timeout bounds each strategy run; the
+// With -compare, the full strategy matrix (the coalescing strategies, the
+// IRC allocator, the exact solver, the spillers and the session columns)
+// runs and a comparison is printed. With -json, results stream as engine
+// records (the same JSONL schema cmd/bench emits). -timeout bounds each strategy run; the
 // cancelable solvers (exact) stop at the deadline and the record reports
 // the timeout.
 package main
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"regcoal"
@@ -32,7 +33,7 @@ import (
 func main() {
 	var (
 		inPath   = flag.String("in", "", "instance file (default stdin)")
-		strategy = flag.String("strategy", "briggs+george", "strategy: a registry strategy, irc, or exact")
+		strategy = flag.String("strategy", "briggs+george", "strategy: a matrix column or coalescing strategy (e.g. irc, exact, chordal-inc)")
 		kFlag    = flag.Int("k", 0, "register count (overrides the file's k)")
 		compare  = flag.Bool("compare", false, "run the full strategy matrix and compare")
 		color    = flag.Bool("color", false, "print a coloring of the coalesced graph")
@@ -82,23 +83,23 @@ func run(inPath, strategy string, kFlag int, compare, color, dimacs, jsonOut boo
 	matrix := engine.StandardMatrix()
 	runners := matrix
 	if !compare {
+		// Coalescing strategies that are not matrix columns (chordal-inc,
+		// vegdahl) are still selectable by name.
+		selectable := slices.Clone(matrix)
+		for _, st := range coalesce.Strategies() {
+			if st.Column == "" {
+				selectable = append(selectable, engine.CoalesceRunner(st))
+			}
+		}
 		runners = nil
-		for _, r := range matrix {
+		for _, r := range selectable {
 			if r.Name == strategy {
 				runners = []engine.Runner{r}
 				break
 			}
 		}
 		if runners == nil {
-			// Non-core registry strategies (chordal-inc, vegdahl) are not
-			// matrix columns but are still selectable by name.
-			if st, ok := coalesce.LookupStrategy(strategy); ok {
-				runners = []engine.Runner{engine.StrategyRunner(st)}
-			}
-		}
-		if runners == nil {
-			return fmt.Errorf("unknown strategy %q (have %v)",
-				strategy, append(engine.MatrixNames(matrix), "chordal-inc", "vegdahl"))
+			return fmt.Errorf("unknown strategy %q (have %v)", strategy, engine.MatrixNames(selectable))
 		}
 	}
 

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"slices"
 	"testing"
+	"time"
 
 	"regcoal/internal/cluster"
 	"regcoal/internal/corpus"
@@ -39,7 +40,13 @@ func TestSessionFailoverRebuildsFromReplicatedLog(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-kill%d", tc.family, tc.kill), func(t *testing.T) {
-			c := startCluster(t, 3, cluster.InProcessOptions{Service: scfg})
+			// A readiness TTL far beyond the test's length keeps the
+			// primary's cached "ready" fresh at the kill, so the router
+			// must attempt the dead node and retry: the retry assertion
+			// below observes that event instead of racing the default
+			// 500 ms probe cache.
+			c := startCluster(t, 3, cluster.InProcessOptions{Service: scfg,
+				Router: cluster.RouterConfig{ReadyTTL: time.Minute}})
 
 			fams, err := corpus.Select(tc.family)
 			if err != nil {

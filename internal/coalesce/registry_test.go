@@ -6,20 +6,26 @@ import (
 	"testing"
 
 	"regcoal/internal/graph"
+	"regcoal/internal/strategy"
 )
 
 func TestRegistryCoreMatchesPinnedMatrix(t *testing.T) {
 	want := []string{
 		"aggressive", "briggs", "george", "briggs+george",
-		"ext-george", "brute", "brute-sets", "optimistic",
+		"ext-george", "brute", "brute-sets", "optimistic", "exact",
 	}
-	core := CoreStrategies()
+	var core []string
+	for _, s := range Strategies() {
+		if s.Column != "" {
+			core = append(core, s.Column)
+		}
+	}
 	if len(core) != len(want) {
-		t.Fatalf("core strategies: got %d, want %d", len(core), len(want))
+		t.Fatalf("matrix columns: got %v, want %v", core, want)
 	}
-	for i, s := range core {
-		if s.Name != want[i] {
-			t.Errorf("core[%d] = %q, want %q (order is pinned by benchmark trajectories)", i, s.Name, want[i])
+	for i, name := range core {
+		if name != want[i] {
+			t.Errorf("column[%d] = %q, want %q (order is pinned by benchmark trajectories)", i, name, want[i])
 		}
 	}
 }
@@ -29,13 +35,13 @@ func TestRegistryLookupAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range StrategyNames() {
+	for _, name := range Strategies().Names() {
 		s, ok := LookupStrategy(name)
 		if !ok {
-			t.Fatalf("StrategyNames listed %q but LookupStrategy misses it", name)
+			t.Fatalf("the table lists %q but LookupStrategy misses it", name)
 		}
 		res, err := s.Run(context.Background(), f.G, f.K)
-		if errors.Is(err, ErrInapplicable) {
+		if errors.Is(err, strategy.ErrInapplicable) {
 			continue
 		}
 		if err != nil {
@@ -70,13 +76,4 @@ func TestRegistryConservativeCoalescesPath(t *testing.T) {
 			t.Errorf("%s: coalesced weight %d colorable=%v, want 5/true", name, res.CoalescedWeight, res.Colorable)
 		}
 	}
-}
-
-func TestRegisterStrategyRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterStrategy(&NamedStrategy{Name: "briggs", Run: pure(Aggressive)})
 }

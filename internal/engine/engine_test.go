@@ -223,7 +223,7 @@ func TestSkippedExact(t *testing.T) {
 	g.AddAffinity(0, 1, 1)
 	inst := &corpus.Instance{Family: "test", Name: "big-0000", File: &graph.File{G: g, K: 2}}
 	recs, err := Run(context.Background(), Config{Parallel: 1},
-		[]*corpus.Instance{inst}, []Runner{ExactRunner()}, nil)
+		[]*corpus.Instance{inst}, Columns("exact"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestOuterCancellation(t *testing.T) {
 // record GreedyAfter) where the pure coalescing strategies cannot.
 func TestSpillMatrixOnPressureFamilies(t *testing.T) {
 	insts := quickCorpus(t, "ssa-pressure,interval-pressure")
-	runners := append(SpillRunners(), SpillAllocRunners()...)
+	runners := Columns("spill-greedy", "spill-inc", "spill-exact", "spill+briggs+george", "spill+optimistic")
 	recs, err := Run(context.Background(), Config{Parallel: 4}, insts, runners, nil)
 	if err != nil {
 		t.Fatal(err)

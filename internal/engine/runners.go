@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"regcoal/internal/coalesce"
-	"regcoal/internal/exact"
 	"regcoal/internal/graph"
-	"regcoal/internal/greedy"
 	"regcoal/internal/regalloc"
 	"regcoal/internal/spill"
+	"regcoal/internal/strategy"
 )
 
 // RunStats is what a runner reports for one instance.
@@ -21,9 +19,10 @@ type RunStats struct {
 	CoalescedMoves  int
 	ResidualWeight  int64
 	// GreedyAfter: the coalesced graph is greedy-k-colorable (for
-	// allocators: the run finished without spills).
+	// allocators: the run finished without spills beyond the ones it
+	// chose up front).
 	GreedyAfter bool
-	// Spills counts spilled vertices (allocator runners only).
+	// Spills counts spilled vertices (allocator and spiller runners only).
 	Spills int
 	// Rounds counts driver iterations, when the strategy iterates.
 	Rounds int
@@ -42,8 +41,21 @@ type Runner struct {
 	Run  func(ctx context.Context, f *graph.File) (RunStats, error)
 }
 
-// statsFromResult converts a coalesce.Result.
-func statsFromResult(res *coalesce.Result) RunStats {
+// The matrix column order is pinned: persisted benchmark trajectories
+// key on it. Every name is the Column of one strategy-table entry.
+var (
+	// strategyColumns are the facade's coalescing strategies
+	// (regcoal.Strategies), in its order.
+	strategyColumns = []string{"aggressive", "briggs", "george", "briggs+george",
+		"ext-george", "brute", "brute-sets", "optimistic"}
+	// solverColumns follow them: the IRC allocator, the exact coalescing
+	// search, the spillers, and the spill-then-coalesce pipeline.
+	solverColumns = []string{"irc", "exact", "spill-greedy", "spill-inc", "spill-exact",
+		"spill+briggs+george", "spill+optimistic"}
+)
+
+// coalesceStats maps a coalescing result onto the matrix's stat columns.
+func coalesceStats(res *coalesce.Result, _ *graph.File) RunStats {
 	return RunStats{
 		CoalescedWeight: res.CoalescedWeight,
 		CoalescedMoves:  len(res.Coalesced),
@@ -53,201 +65,97 @@ func statsFromResult(res *coalesce.Result) RunStats {
 	}
 }
 
-// StrategyRunner adapts one registry strategy to a matrix column.
-func StrategyRunner(s *coalesce.NamedStrategy) Runner {
+// allocStats maps an allocation: a spill-first allocation is k-feasible
+// by construction, so only spills beyond its up-front evictions count
+// against GreedyAfter.
+func allocStats(res *regalloc.Result, f *graph.File) RunStats {
+	count, _ := res.Coloring.CoalescedMoves(f.G)
+	return RunStats{
+		CoalescedWeight: res.CoalescedWeight,
+		CoalescedMoves:  count,
+		ResidualWeight:  res.RemainingWeight,
+		GreedyAfter:     len(res.Spilled) == res.Evicted,
+		Spills:          len(res.Spilled),
+		Rounds:          1,
+	}
+}
+
+// spillStats maps a spill plan: spilling removes no moves by itself, so
+// the whole affinity weight stays residual.
+func spillStats(p *spill.Plan, f *graph.File) RunStats {
+	return RunStats{
+		ResidualWeight: f.G.TotalAffinityWeight(),
+		GreedyAfter:    true,
+		Spills:         len(p.Spilled),
+		Rounds:         p.Rounds,
+	}
+}
+
+// column adapts one strategy-table entry to a matrix column named name:
+// a decline becomes a skipped record, any other error (including an
+// anytime search's cancellation) a failed one.
+func column[R any](name string, e *strategy.Entry[R], stats func(*R, *graph.File) RunStats) Runner {
 	return Runner{
-		Name: s.Name,
+		Name: name,
 		Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
-			res, err := s.Run(ctx, f.G, f.K)
-			if errors.Is(err, coalesce.ErrInapplicable) {
+			res, err := e.Run(ctx, f.G, f.K)
+			if errors.Is(err, strategy.ErrInapplicable) {
 				return RunStats{Skipped: true, SkipReason: err.Error()}, nil
 			}
 			if err != nil {
 				return RunStats{}, err
 			}
-			return statsFromResult(res), nil
+			return stats(res, f), nil
 		},
 	}
 }
 
-// StrategyRunners returns one runner per core strategy of the coalesce
-// registry — the same names and semantics as regcoal.Run (the
-// correspondence is pinned by TestMatrixMatchesFacade). Non-core registry
-// entries (chordal-inc, vegdahl) are excluded so that persisted benchmark
-// trajectories keep comparing like with like.
-func StrategyRunners() []Runner {
-	core := coalesce.CoreStrategies()
-	out := make([]Runner, 0, len(core))
-	for _, s := range core {
-		out = append(out, StrategyRunner(s))
-	}
-	return out
-}
-
-// IRCRunner evaluates the worklist-driven iterated-register-coalescing
-// allocator (George–Appel) on the instance.
-func IRCRunner() Runner {
-	return Runner{
-		Name: "irc",
-		Run: func(_ context.Context, f *graph.File) (RunStats, error) {
-			res, err := regalloc.AllocateIRC(f.G, f.K)
-			if err != nil {
-				return RunStats{}, err
-			}
-			count, _ := res.Coloring.CoalescedMoves(f.G)
-			return RunStats{
-				CoalescedWeight: res.CoalescedWeight,
-				CoalescedMoves:  count,
-				ResidualWeight:  res.RemainingWeight,
-				GreedyAfter:     len(res.Spilled) == 0,
-				Spills:          len(res.Spilled),
-				Rounds:          1,
-			}, nil
-		},
-	}
-}
-
-// ExactRunner evaluates optimal conservative coalescing (minimum
-// uncoalesced weight subject to the quotient staying greedy-k-colorable —
-// the paper's Theorem 3 objective over the class heuristics maintain) by
-// branch and bound, honoring ctx cancellation.
-func ExactRunner() Runner {
-	return Runner{
-		Name: "exact",
-		Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
-			g, k := f.G, f.K
-			// Outside the search envelope the runner declines instead of
-			// hanging the pool (the per-run timeout guards admitted ones).
-			if !exact.InEnvelope(g) {
-				return RunStats{
-					Skipped: true,
-					SkipReason: fmt.Sprintf("instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-						g.NumAffinities(), exact.SearchMaxMoves, g.N(), exact.SearchMaxVertices),
-				}, nil
-			}
-			res, err := exact.OptimalCoalescingCtx(ctx, g, k, exact.TargetGreedy, exact.MinimizeWeight)
-			if err != nil {
-				return RunStats{}, err
-			}
-			coalesced, _ := res.P.CoalescedAffinities(g)
-			var w int64
-			for _, a := range coalesced {
-				w += a.Weight
-			}
-			stats := RunStats{
-				CoalescedWeight: w,
-				CoalescedMoves:  len(coalesced),
-				ResidualWeight:  res.Cost,
-				Rounds:          1,
-			}
-			if q, _, qerr := graph.Quotient(g, res.P); qerr == nil {
-				stats.GreedyAfter = greedy.IsGreedyKColorable(q, k)
-			}
-			return stats, nil
-		},
-	}
-}
-
-// SpillRunners evaluates the spill-everywhere subsystem as matrix
-// columns: the greedy and incremental graph spillers (which must agree),
-// and the exact branch-and-bound spiller inside its envelope. Spills and
-// Rounds carry the plan shape; CoalescedWeight stays zero (spilling
-// removes no moves by itself).
-func SpillRunners() []Runner {
-	plan := func(name string, run func(ctx context.Context, f *graph.File) (*spill.Plan, error)) Runner {
-		return Runner{
-			Name: name,
-			Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
-				p, err := run(ctx, f)
-				if err != nil {
-					return RunStats{}, err
-				}
-				return RunStats{
-					ResidualWeight: f.G.TotalAffinityWeight(),
-					GreedyAfter:    true,
-					Spills:         len(p.Spilled),
-					Rounds:         p.Rounds,
-				}, nil
-			},
+// addColumns adds a column for every entry of t that declares one.
+func addColumns[R any](dst map[string]Runner, t strategy.Table[R], stats func(*R, *graph.File) RunStats) {
+	for _, e := range t {
+		if e.Column != "" {
+			dst[e.Column] = column(e.Column, e, stats)
 		}
 	}
-	return []Runner{
-		plan("spill-greedy", func(_ context.Context, f *graph.File) (*spill.Plan, error) {
-			return spill.Greedy(f, nil)
-		}),
-		plan("spill-inc", func(_ context.Context, f *graph.File) (*spill.Plan, error) {
-			return spill.Incremental(f, nil)
-		}),
-		{
-			Name: "spill-exact",
-			Run: func(ctx context.Context, f *graph.File) (RunStats, error) {
-				p, err := spill.Exact(ctx, f, nil)
-				if err == spill.ErrEnvelope {
-					return RunStats{Skipped: true, SkipReason: err.Error()}, nil
-				}
-				if err != nil {
-					return RunStats{}, err
-				}
-				return RunStats{
-					ResidualWeight: f.G.TotalAffinityWeight(),
-					GreedyAfter:    true,
-					Spills:         len(p.Spilled),
-					Rounds:         p.Rounds,
-				}, nil
-			},
-		},
-	}
 }
 
-// SpillAllocRunners evaluates the spill-then-coalesce pipeline
-// (regalloc.AllocateSpillFirst): pressure is lowered to k up front, then
-// the residual is coalesced with the named mode — the spill × coalesce
-// half of the matrix. The allocation is k-feasible by construction, so
-// GreedyAfter is always true and Spills counts the phase-one evictions.
-func SpillAllocRunners() []Runner {
-	modes := []struct {
-		name string
-		mode regalloc.Mode
-	}{
-		{"spill+briggs+george", regalloc.ModeConservative},
-		{"spill+optimistic", regalloc.ModeOptimistic},
-	}
-	out := make([]Runner, 0, len(modes))
-	for _, m := range modes {
-		m := m
-		out = append(out, Runner{
-			Name: m.name,
-			Run: func(_ context.Context, f *graph.File) (RunStats, error) {
-				res, err := regalloc.AllocateSpillFirst(f.G, f.K, m.mode)
-				if err != nil {
-					return RunStats{}, err
-				}
-				count, _ := res.Coloring.CoalescedMoves(f.G)
-				return RunStats{
-					CoalescedWeight: res.CoalescedWeight,
-					CoalescedMoves:  count,
-					ResidualWeight:  res.RemainingWeight,
-					GreedyAfter:     true,
-					Spills:          len(res.Spilled),
-					Rounds:          1,
-				}, nil
-			},
-		})
+// Columns returns the named matrix columns, in the given order; it
+// panics on a name no strategy table declares.
+func Columns(names ...string) []Runner {
+	all := make(map[string]Runner)
+	addColumns(all, coalesce.Strategies(), coalesceStats)
+	addColumns(all, regalloc.Strategies(), allocStats)
+	addColumns(all, spill.Strategies(), spillStats)
+	out := make([]Runner, len(names))
+	for i, n := range names {
+		r, ok := all[n]
+		if !ok {
+			panic("engine: no strategy table declares matrix column " + n)
+		}
+		out[i] = r
 	}
 	return out
 }
+
+// CoalesceRunner adapts a coalescing strategy to a runner under its own
+// name, whether or not it is a matrix column — how cmd/coalesce runs the
+// off-matrix strategies (chordal-inc, vegdahl).
+func CoalesceRunner(e *strategy.Entry[coalesce.Result]) Runner {
+	return column(e.Name, e, coalesceStats)
+}
+
+// StrategyRunners returns the columns of the facade's coalescing
+// strategies — the same names, order and semantics as regcoal.Run (the
+// correspondence is pinned by TestMatrixMatchesFacade).
+func StrategyRunners() []Runner { return Columns(strategyColumns...) }
 
 // StandardMatrix is the full strategy matrix the benchmark drives: every
 // regcoal strategy, the IRC allocator, the exact solver, the spill ×
 // coalesce columns (spillers plus the spill-then-coalesce pipeline), and
 // the session layer's incremental-vs-fresh differential pair.
 func StandardMatrix() []Runner {
-	m := StrategyRunners()
-	m = append(m, IRCRunner(), ExactRunner())
-	m = append(m, SpillRunners()...)
-	m = append(m, SpillAllocRunners()...)
-	m = append(m, SessionRunners()...)
-	return m
+	m := Columns(append(strategyColumns[:len(strategyColumns):len(strategyColumns)], solverColumns...)...)
+	return append(m, SessionRunners()...)
 }
 
 // MatrixNames lists runner names in order.

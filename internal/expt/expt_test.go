@@ -162,7 +162,7 @@ func TestCHAggregationConsistentWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := append(engine.StrategyRunners(), engine.IRCRunner(), biasedRunner())
+	runners := append(engine.StrategyRunners(), engine.Columns("irc")[0], biasedRunner())
 	recs, err := engine.Run(context.Background(), engineConfig(cfg), insts, runners, nil)
 	if err != nil {
 		t.Fatal(err)

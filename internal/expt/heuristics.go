@@ -148,7 +148,7 @@ func runCH(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	runners := append(engine.StrategyRunners(), engine.IRCRunner(), biasedRunner())
+	runners := append(engine.StrategyRunners(), engine.Columns("irc")[0], biasedRunner())
 	recs, err := engine.Run(context.Background(), engineConfig(cfg), insts, runners, nil)
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func ParseTraceID(s string) (TraceID, bool) {
 const maxPhaseSpans = 8
 
 // maxMemberSpans bounds the race-timeline entries. The largest portfolio
-// (coalesce: 8 registry strategies + chordal-inc + vegdahl + exact) fits
+// (the 11-entry coalesce strategy table) fits
 // with room; an overflowing member set drops the excess rather than
 // allocating.
 const maxMemberSpans = 12

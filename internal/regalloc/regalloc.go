@@ -60,6 +60,10 @@ type Result struct {
 	Coloring graph.Coloring
 	// Spilled lists original vertices whose class failed to color.
 	Spilled []graph.V
+	// Evicted counts the leading Spilled entries a spill-first
+	// allocation chose up front (AllocateSpillFirst); the rest, if any,
+	// failed to color.
+	Evicted int
 	// CoalescedWeight is the total weight of moves whose endpoints ended
 	// with equal colors; RemainingWeight the rest (spilled endpoints count
 	// as remaining).

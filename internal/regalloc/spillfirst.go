@@ -44,7 +44,7 @@ func AllocateSpillFirst(g *graph.Graph, k int, mode Mode) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Coloring: graph.NewColoring(g.N())}
+	res := &Result{Coloring: graph.NewColoring(g.N()), Evicted: len(plan.Spilled)}
 	res.Spilled = append(res.Spilled, plan.SortedSpills()...)
 	for _, v := range survivors {
 		res.Coloring[v] = subRes.Coloring[old2new[v]]

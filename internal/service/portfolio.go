@@ -5,16 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
 	"regcoal/internal/coalesce"
-	"regcoal/internal/exact"
 	"regcoal/internal/graph"
-	"regcoal/internal/greedy"
 	"regcoal/internal/obs"
 	"regcoal/internal/regalloc"
 	"regcoal/internal/spill"
+	"regcoal/internal/strategy"
 )
 
 // Deadline-raced strategy portfolio. Every interesting coalescing variant
@@ -38,7 +38,7 @@ type racer[T any] struct {
 // (positive = first argument better; ties keep the earlier member, so a
 // completed race is deterministic). It returns as soon as either every
 // member finished, or the deadline fired and at least one answer exists.
-// Members returning coalesce.ErrInapplicable are skipped.
+// Members returning strategy.ErrInapplicable are skipped.
 //
 // When tr is non-nil the full race timeline is recorded onto it: each
 // member's start and finish (or the cut-off time for members still
@@ -90,7 +90,7 @@ func race[T any](ctx context.Context, members []racer[T], cmp func(a, b T) int, 
 			errs[o.idx] = o.err
 		}
 		if o.err != nil {
-			if !errors.Is(o.err, coalesce.ErrInapplicable) && firstErr == nil {
+			if !errors.Is(o.err, strategy.ErrInapplicable) && firstErr == nil {
 				firstErr = o.err
 			}
 			return
@@ -148,7 +148,7 @@ func race[T any](ctx context.Context, members []racer[T], cmp func(a, b T) int, 
 					state = obs.MemberWon
 				case errs[i] == nil:
 					state = obs.MemberFinished
-				case errors.Is(errs[i], coalesce.ErrInapplicable):
+				case errors.Is(errs[i], strategy.ErrInapplicable):
 					state = obs.MemberDeclined
 				default:
 					state = obs.MemberError
@@ -176,224 +176,69 @@ func DefaultPortfolio() []string {
 	}
 }
 
-// coalesceRacers resolves strategy names into portfolio members. Names
-// come from the coalesce registry; "exact" is the service's anytime
-// branch-and-bound member.
-func coalesceRacers(f *graph.File, names []string) ([]racer[*coalesce.Result], error) {
-	members := make([]racer[*coalesce.Result], 0, len(names))
-	for _, name := range names {
-		if name == "exact" {
-			members = append(members, exactRacer(f))
-			continue
+// racers resolves names (already validated by Prepare) into race members
+// over f; no names means the whole table, in table order. A member marked
+// Redundant on f declines without running, and an anytime member cut off
+// by the deadline contributes the answer it returned alongside the error.
+func racers[R any](t strategy.Table[R], f *graph.File, names []string) []racer[*R] {
+	entries := t
+	if len(names) > 0 {
+		entries = make(strategy.Table[R], len(names))
+		for i, n := range names {
+			entries[i], _ = t.Lookup(n)
 		}
-		st, ok := coalesce.LookupStrategy(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown strategy %q (have %v and \"exact\")", name, coalesce.StrategyNames())
-		}
-		members = append(members, racer[*coalesce.Result]{
-			name: st.Name,
-			run: func(ctx context.Context) (*coalesce.Result, error) {
-				return st.Run(ctx, f.G, f.K)
-			},
-		})
 	}
-	return members, nil
-}
-
-// exactRacer wraps the exact solver as an anytime member: outside its
-// feasibility envelope it declines; canceled mid-search it reports the
-// best coalescing found so far instead of an error.
-func exactRacer(f *graph.File) racer[*coalesce.Result] {
-	return racer[*coalesce.Result]{
-		name: "exact",
-		run: func(ctx context.Context) (*coalesce.Result, error) {
-			if !exact.InEnvelope(f.G) {
-				return nil, fmt.Errorf("%w: instance outside exact envelope (moves %d > %d or vertices %d > %d)",
-					coalesce.ErrInapplicable, f.G.NumAffinities(), exact.SearchMaxMoves, f.G.N(), exact.SearchMaxVertices)
-			}
-			res, _ := exact.OptimalCoalescingCtx(ctx, f.G, f.K, exact.TargetGreedy, exact.MinimizeWeight)
-			if res.P == nil {
-				return nil, fmt.Errorf("%w: exact search produced no partition", coalesce.ErrInapplicable)
-			}
-			return coalesce.ResultFromPartition(f.G, res.P, f.K), nil
-		},
-	}
-}
-
-// cmpCoalesce prefers answers that keep the graph colorable, then the
-// most coalesced weight, then the fewest residual moves.
-func cmpCoalesce(a, b *coalesce.Result) int {
-	if a.Colorable != b.Colorable {
-		if a.Colorable {
-			return 1
-		}
-		return -1
-	}
-	switch {
-	case a.CoalescedWeight != b.CoalescedWeight:
-		if a.CoalescedWeight > b.CoalescedWeight {
-			return 1
-		}
-		return -1
-	case len(a.Remaining) != len(b.Remaining):
-		if len(a.Remaining) < len(b.Remaining) {
-			return 1
-		}
-		return -1
-	}
-	return 0
-}
-
-// allocNames lists the allocator portfolio member names. The spill-first
-// members run the two-phase pipeline (regalloc.AllocateSpillFirst): on
-// instances whose pressure exceeds k they are the members that guarantee
-// a k-feasible answer with a deliberate spill set, where the optimistic
-// select of the others may strand many vertices.
-func allocNames() []string {
-	return []string{"irc", "briggs+george", "optimistic", "none",
-		"spill+briggs+george", "spill+optimistic"}
-}
-
-// allocateRacers builds the allocator portfolio: the IRC allocator,
-// Chaitin-style allocations over selected coalescing modes, and the
-// spill-then-coalesce pipeline. All members are polynomial; the race
-// exists so a slow member never delays a fast winning answer past the
-// deadline.
-func allocateRacers(f *graph.File, names []string) ([]racer[*regalloc.Result], error) {
-	build := func(name string) (racer[*regalloc.Result], error) {
-		var run func() (*regalloc.Result, error)
-		switch name {
-		case "irc":
-			run = func() (*regalloc.Result, error) { return regalloc.AllocateIRC(f.G, f.K) }
-		case "briggs+george":
-			run = func() (*regalloc.Result, error) { return regalloc.Allocate(f.G, f.K, regalloc.ModeConservative) }
-		case "optimistic":
-			run = func() (*regalloc.Result, error) { return regalloc.Allocate(f.G, f.K, regalloc.ModeOptimistic) }
-		case "none":
-			run = func() (*regalloc.Result, error) { return regalloc.Allocate(f.G, f.K, regalloc.ModeNone) }
-		case "spill+briggs+george":
-			run = spillFirstRun(f, regalloc.ModeConservative)
-		case "spill+optimistic":
-			run = spillFirstRun(f, regalloc.ModeOptimistic)
-		default:
-			return racer[*regalloc.Result]{}, fmt.Errorf("unknown allocator %q (have %v)", name, allocNames())
-		}
-		return racer[*regalloc.Result]{
-			name: name,
-			run:  func(context.Context) (*regalloc.Result, error) { return run() },
-		}, nil
-	}
-	if len(names) == 0 {
-		names = allocNames()
-	}
-	members := make([]racer[*regalloc.Result], 0, len(names))
-	for _, n := range names {
-		m, err := build(n)
-		if err != nil {
-			return nil, err
-		}
-		members = append(members, m)
-	}
-	return members, nil
-}
-
-// spillFirstRun wraps the two-phase allocator as a portfolio member that
-// declines already-feasible graphs: with nothing to spill, phase two
-// recomputes exactly what the plain member of the same mode computes and
-// can never win the tie-break, so running it would only burn a worker.
-// The feasibility check is one greedy elimination, a fraction of a full
-// allocation.
-func spillFirstRun(f *graph.File, mode regalloc.Mode) func() (*regalloc.Result, error) {
-	return func() (*regalloc.Result, error) {
-		if greedy.IsGreedyKColorable(f.G, f.K) {
-			return nil, fmt.Errorf("%w: graph is greedy-%d-colorable, spill-first adds nothing over %v",
-				coalesce.ErrInapplicable, f.K, mode)
-		}
-		return regalloc.AllocateSpillFirst(f.G, f.K, mode)
-	}
-}
-
-// spillNames lists the spill portfolio member names.
-func spillNames() []string { return []string{"greedy", "incremental", "exact"} }
-
-// spillRacers builds the spill portfolio: the rebuild-per-round greedy
-// spiller, the incremental variant (identical answers, less work — racing
-// both is deliberate: whichever the scheduler favors wins with the same
-// plan), and the anytime exact search, which declines instances beyond
-// its envelope and contributes its incumbent when the deadline fires.
-// The exact member runs under the server's node budget
-// (Config.SpillExactNodes) so one request never monopolizes a worker
-// for the full deadline when the heuristics answered in microseconds.
-func (s *Server) spillRacers(f *graph.File, names []string) ([]racer[*spill.Plan], error) {
-	if len(names) == 0 {
-		names = spillNames()
-	}
-	members := make([]racer[*spill.Plan], 0, len(names))
-	for _, name := range names {
-		var run func(ctx context.Context) (*spill.Plan, error)
-		switch name {
-		case "greedy":
-			run = func(context.Context) (*spill.Plan, error) { return spill.Greedy(f, nil) }
-		case "incremental":
-			run = func(context.Context) (*spill.Plan, error) { return spill.Incremental(f, nil) }
-		case "exact":
-			run = func(ctx context.Context) (*spill.Plan, error) {
-				p, err := spill.ExactBudget(ctx, f, nil, s.cfg.SpillExactNodes)
-				if err == spill.ErrEnvelope {
-					return nil, fmt.Errorf("%w: %v", coalesce.ErrInapplicable, err)
+	members := make([]racer[*R], len(entries))
+	for i, e := range entries {
+		members[i] = racer[*R]{
+			name: e.Name,
+			run: func(ctx context.Context) (*R, error) {
+				if e.Redundant != nil && e.Redundant(f.G, f.K) {
+					return nil, fmt.Errorf("%w: %s repeats another member on this instance", strategy.ErrInapplicable, e.Name)
 				}
-				return p, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown spiller %q (have %v)", name, spillNames())
+				res, err := e.Run(ctx, f.G, f.K)
+				if res != nil {
+					return res, nil
+				}
+				return nil, err
+			},
 		}
-		members = append(members, racer[*spill.Plan]{name: name, run: run})
 	}
-	return members, nil
+	return members
 }
 
-// cmpSpill prefers the cheapest spill set, then the fewest spills, then a
-// proven-optimal answer.
-func cmpSpill(a, b *spill.Plan) int {
-	switch {
-	case a.Cost != b.Cost:
-		if a.Cost < b.Cost {
-			return 1
-		}
-		return -1
-	case len(a.Spilled) != len(b.Spilled):
-		if len(a.Spilled) < len(b.Spilled) {
-			return 1
-		}
-		return -1
-	case a.Optimal != b.Optimal:
-		if a.Optimal {
-			return 1
-		}
-		return -1
+// unknownStrategy reports the first of a request's names that the kind's
+// table lacks, as the 400 message the endpoint has always sent.
+func unknownStrategy(kind Kind, names []string) error {
+	var known []string
+	switch kind {
+	case KindAllocate:
+		known = regalloc.Strategies().Names()
+	case KindSpill:
+		known = spill.Strategies().Names()
+	default:
+		known = coalesce.Strategies().Names()
 	}
-	return 0
+	for _, n := range names {
+		switch {
+		case slices.Contains(known, n):
+			continue
+		case kind == KindAllocate:
+			return fmt.Errorf("unknown allocator %q (have %v)", n, known)
+		case kind == KindSpill:
+			return fmt.Errorf("unknown spiller %q (have %v)", n, known)
+		}
+		// Clients see this text: it names exact apart from the sorted
+		// other strategies.
+		slices.Sort(known)
+		known = slices.DeleteFunc(known, func(s string) bool { return s == "exact" })
+		return fmt.Errorf("unknown strategy %q (have %v and \"exact\")", n, known)
+	}
+	return nil
 }
 
-// cmpAllocate prefers the fewest spills, then the most coalesced weight.
-func cmpAllocate(a, b *regalloc.Result) int {
-	switch {
-	case len(a.Spilled) != len(b.Spilled):
-		if len(a.Spilled) < len(b.Spilled) {
-			return 1
-		}
-		return -1
-	case a.CoalescedWeight != b.CoalescedWeight:
-		if a.CoalescedWeight > b.CoalescedWeight {
-			return 1
-		}
-		return -1
-	}
-	return 0
-}
-
-// normalizeStrategies validates and canonicalizes a request's strategy
-// list for the cache key: sorted, deduplicated.
+// normalizeStrategies canonicalizes a request's strategy list for the
+// cache key: sorted, deduplicated. Prepare validates the names.
 func normalizeStrategies(names []string) []string {
 	seen := make(map[string]bool, len(names))
 	out := make([]string, 0, len(names))

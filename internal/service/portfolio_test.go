@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"regcoal/internal/coalesce"
+	"regcoal/internal/strategy"
 )
 
 func intCmp(a, b int) int { return a - b }
@@ -32,7 +32,7 @@ func TestRaceReturnsBestDeterministically(t *testing.T) {
 func TestRaceSkipsInapplicable(t *testing.T) {
 	members := []racer[int]{
 		{name: "declines", run: func(context.Context) (int, error) {
-			return 0, fmt.Errorf("%w: not my kind of graph", coalesce.ErrInapplicable)
+			return 0, fmt.Errorf("%w: not my kind of graph", strategy.ErrInapplicable)
 		}},
 		{name: "answers", run: func(context.Context) (int, error) { return 3, nil }},
 	}

@@ -22,9 +22,12 @@ import (
 	"strings"
 	"time"
 
+	"regcoal/internal/coalesce"
 	"regcoal/internal/engine"
 	"regcoal/internal/graph"
 	"regcoal/internal/obs"
+	"regcoal/internal/regalloc"
+	"regcoal/internal/spill"
 )
 
 // Prepared is a parsed, validated, canonicalized solve request, ready to
@@ -111,19 +114,8 @@ func (s *Server) PrepareTraced(kind Kind, req *Request, tr *obs.Trace) (*Prepare
 	}
 	strategies = normalizeStrategies(strategies)
 	// Validate up front so bad names are 400s, not queued work.
-	switch kind {
-	case KindCoalesce:
-		if _, err := coalesceRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
-	case KindAllocate:
-		if _, err := allocateRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
-	case KindSpill:
-		if _, err := s.spillRacers(inst, strategies); err != nil {
-			return nil, s.countBad(badRequest("%v", err))
-		}
+	if err := unknownStrategy(kind, strategies); err != nil {
+		return nil, s.countBad(badRequest("%v", err))
 	}
 
 	tr.BeginPhase(obs.PhaseCanon)
@@ -300,34 +292,26 @@ func traceFamily(tr *obs.Trace) string {
 func (s *Server) compute(p *Prepared, deadline time.Duration, tr *obs.Trace) (*entry, error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, deadline)
 	defer cancel()
-	inst, canon, strategies := p.inst, p.canon, p.strategies
-	if p.kind == KindAllocate {
-		members, err := allocateRacers(inst, strategies)
-		if err != nil {
-			return nil, err
-		}
-		best, winner, _, hit, err := race(ctx, members, cmpAllocate, tr)
+	inst, canon, names := p.inst, p.canon, p.strategies
+	switch p.kind {
+	case KindAllocate:
+		best, winner, _, hit, err := race(ctx, racers(regalloc.Strategies(), inst, names), regalloc.Compare, tr)
 		if err != nil {
 			return nil, err
 		}
 		return allocateEntry(canon.Perm, best, winner, hit), nil
-	}
-	if p.kind == KindSpill {
-		members, err := s.spillRacers(inst, strategies)
-		if err != nil {
-			return nil, err
-		}
-		best, winner, _, hit, err := race(ctx, members, cmpSpill, tr)
+	case KindSpill:
+		// The exact member runs under the server's node budget so one
+		// request never monopolizes a worker for the full deadline when
+		// the heuristics answered in microseconds.
+		ctx := spill.WithExactNodes(ctx, s.cfg.SpillExactNodes)
+		best, winner, _, hit, err := race(ctx, racers(spill.Strategies(), inst, names), spill.Compare, tr)
 		if err != nil {
 			return nil, err
 		}
 		return spillEntry(canon.Perm, best, winner, hit), nil
 	}
-	members, err := coalesceRacers(inst, strategies)
-	if err != nil {
-		return nil, err
-	}
-	best, winner, _, hit, err := race(ctx, members, cmpCoalesce, tr)
+	best, winner, _, hit, err := race(ctx, racers(coalesce.Strategies(), inst, names), coalesce.Compare, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -161,7 +161,7 @@ type Server struct {
 // New builds a Server and its worker pool. Call Close to drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if _, err := coalesceRacers(&graph.File{G: graph.New(1), K: 1}, cfg.Portfolio); err != nil {
+	if err := unknownStrategy(KindCoalesce, cfg.Portfolio); err != nil {
 		return nil, fmt.Errorf("service: bad portfolio: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -138,8 +138,8 @@ type Request struct {
 	// DeadlineMS bounds the strategy race; 0 uses the server default,
 	// values above the server maximum are clamped.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Strategies restricts the coalescing portfolio (names from the
-	// coalesce registry plus "exact"); empty runs the server's portfolio.
+	// Strategies restricts the race to these members of the endpoint's
+	// strategy table; empty runs the server's portfolio.
 	Strategies []string `json:"strategies,omitempty"`
 	// NoCache bypasses the result cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`

@@ -4,17 +4,18 @@ package session
 // component of the alive working graph (connectivity over interference
 // edges AND affinities: a move can merge across an interference gap, so
 // components are independent only when neither crosses). Every component
-// is solved by the same deterministic member set — ChordalIncremental
-// (via ChordalProgressive) where the component is chordal, the
-// conservative briggs+george rule, and optimistic de-coalescing — with
-// the best answer picked by the portfolio ordering (colorable first,
-// then coalesced weight, then fewer remaining moves; earlier member wins
-// ties). Because "fresh" and "incremental" are the same per-component
-// function over the same induced instances, reassembling reused or
-// memoized component results is exactly equal to a fresh solve — the
-// property the randomized edit-script differential suite pins.
+// is solved by the same deterministic member set (Members) —
+// ChordalIncremental (via ChordalProgressive) where the component is
+// chordal, the conservative briggs+george rule, and optimistic
+// de-coalescing — with the best answer picked by the portfolio ordering
+// (coalesce.Compare; earlier member wins ties). Because "fresh" and
+// "incremental" are the same per-component function over the same
+// induced instances, reassembling reused or memoized component results
+// is exactly equal to a fresh solve — the property the randomized
+// edit-script differential suite pins.
 
 import (
+	"context"
 	"slices"
 
 	"regcoal/internal/coalesce"
@@ -48,7 +49,6 @@ type compResult struct {
 
 	coalescedMoves int
 	remainingMoves int
-	strategy       string
 
 	classOf []int // dense class index per local vertex, by smallest member
 	color   []int // register per local vertex, or -1
@@ -266,29 +266,11 @@ func (s *Session) fingerprint(vs []graph.V, local []int) fp {
 	return h
 }
 
-// cmpResults is the portfolio ordering: colorable beats not, then higher
-// coalesced weight, then fewer remaining moves.
-func cmpResults(a, b *coalesce.Result) int {
-	if a.Colorable != b.Colorable {
-		if a.Colorable {
-			return 1
-		}
-		return -1
-	}
-	switch {
-	case a.CoalescedWeight != b.CoalescedWeight:
-		if a.CoalescedWeight > b.CoalescedWeight {
-			return 1
-		}
-		return -1
-	case len(a.Remaining) != len(b.Remaining):
-		if len(a.Remaining) < len(b.Remaining) {
-			return 1
-		}
-		return -1
-	}
-	return 0
-}
+// Members is the session's deterministic member set: coalesce table
+// names in tie-break order (an earlier member wins ties). Chordal
+// incremental coalescing comes first (the paper's tractable case); the
+// conservative and optimistic members cover the non-chordal fallback.
+func Members() []string { return []string{"chordal-inc", "briggs+george", "optimistic"} }
 
 // solveComponent builds the induced instance of vs in local numbering
 // and solves it with the deterministic member set. Only runs on memo
@@ -317,20 +299,16 @@ func (s *Session) solveComponent(vs []graph.V, local []int) *compResult {
 	}
 	cg.Freeze()
 
-	// ChordalIncremental first (the paper's tractable case); the
-	// conservative and optimistic members cover the non-chordal
-	// fallback. Declining with ErrNotChordal is the documented contract:
-	// a wrong answer never leaves ChordalProgressive.
+	// A member that declines (chordal-inc on a non-chordal component:
+	// a wrong answer never leaves ChordalProgressive) contributes nothing.
 	var best *coalesce.Result
 	bestName := ""
-	if res, err := coalesce.ChordalProgressive(cg, s.k); err == nil {
-		best, bestName = res, "chordal-inc"
-	}
-	if res := coalesce.Conservative(cg, s.k, coalesce.TestBriggsGeorge); best == nil || cmpResults(res, best) > 0 {
-		best, bestName = res, "briggs+george"
-	}
-	if res := coalesce.Optimistic(cg, s.k); cmpResults(res, best) > 0 {
-		best, bestName = res, "optimistic"
+	for _, name := range Members() {
+		st, _ := coalesce.LookupStrategy(name)
+		res, err := st.Run(context.Background(), cg, s.k)
+		if err == nil && (best == nil || coalesce.Compare(res, best) > 0) {
+			best, bestName = res, name
+		}
 	}
 	if bestName == "chordal-inc" {
 		s.metrics.ChordalWins.Inc()
@@ -342,7 +320,6 @@ func (s *Session) solveComponent(vs []graph.V, local []int) *compResult {
 		remainingW:     best.RemainingWeight,
 		coalescedMoves: len(best.Coalesced),
 		remainingMoves: len(best.Remaining),
-		strategy:       bestName,
 		classOf:        make([]int, m),
 		color:          make([]int, m),
 	}

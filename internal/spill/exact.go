@@ -2,10 +2,10 @@ package spill
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"regcoal/internal/graph"
+	"regcoal/internal/strategy"
 )
 
 // ExactMaxVertices bounds the instances Exact admits: the search memoizes
@@ -23,8 +23,9 @@ const ExactMaxVertices = 64
 // smaller budget through ExactBudget.
 const ExactDefaultNodes = 1 << 18
 
-// ErrEnvelope marks an instance outside Exact's feasibility envelope.
-var ErrEnvelope = fmt.Errorf("spill: instance outside exact envelope (> %d vertices)", ExactMaxVertices)
+// ErrEnvelope marks an instance outside Exact's feasibility envelope; as
+// a strategy table member's answer it is a decline.
+var ErrEnvelope = strategy.Decline("spill: instance outside exact envelope (> %d vertices)", ExactMaxVertices)
 
 // Exact finds a minimum-cost spill set by branch and bound. Soundness of
 // the branching rule: a residual graph that is not greedy-k-colorable

@@ -25,6 +25,7 @@
 package regcoal
 
 import (
+	"context"
 	"io"
 
 	"regcoal/internal/coalesce"
@@ -98,27 +99,16 @@ func Strategies() []Strategy {
 // Result is the outcome of a coalescing strategy run.
 type Result = coalesce.Result
 
-// Run executes a strategy on g with k registers.
-func Run(g *Graph, k int, s Strategy) (*Result, bool) {
-	switch s {
-	case StrategyAggressive:
-		return coalesce.Aggressive(g, k), true
-	case StrategyBriggs:
-		return coalesce.Conservative(g, k, coalesce.TestBriggs), true
-	case StrategyGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestGeorge), true
-	case StrategyBriggsGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestBriggsGeorge), true
-	case StrategyExtendedGeorge:
-		return coalesce.Conservative(g, k, coalesce.TestExtendedGeorge), true
-	case StrategyBrute:
-		return coalesce.Conservative(g, k, coalesce.TestBrute), true
-	case StrategyBruteSets:
-		return coalesce.ConservativeSets(g, k, 2), true
-	case StrategyOptimistic:
-		return coalesce.Optimistic(g, k), true
+// Run executes a strategy on g with k registers. Any name of the
+// coalescing strategy table runs (see internal/coalesce); ok is false
+// for an unknown name or a strategy that declines the instance.
+func Run(g *Graph, k int, s Strategy) (res *Result, ok bool) {
+	st, found := coalesce.LookupStrategy(string(s))
+	if !found {
+		return nil, false
 	}
-	return nil, false
+	res, err := st.Run(context.Background(), g, k)
+	return res, err == nil
 }
 
 // IsGreedyKColorable reports whether g survives Chaitin's simplification
