@@ -210,23 +210,19 @@ func racers[R any](t strategy.Table[R], f *graph.File, names []string) []racer[*
 // unknownStrategy reports the first of a request's names that the kind's
 // table lacks, as the 400 message the endpoint has always sent.
 func unknownStrategy(kind Kind, names []string) error {
-	var known []string
+	known, noun := coalesce.Strategies().Names(), "strategy"
 	switch kind {
 	case KindAllocate:
-		known = regalloc.Strategies().Names()
+		known, noun = regalloc.Strategies().Names(), "allocator"
 	case KindSpill:
-		known = spill.Strategies().Names()
-	default:
-		known = coalesce.Strategies().Names()
+		known, noun = spill.Strategies().Names(), "spiller"
 	}
 	for _, n := range names {
 		switch {
 		case slices.Contains(known, n):
 			continue
-		case kind == KindAllocate:
-			return fmt.Errorf("unknown allocator %q (have %v)", n, known)
-		case kind == KindSpill:
-			return fmt.Errorf("unknown spiller %q (have %v)", n, known)
+		case kind != KindCoalesce:
+			return fmt.Errorf("unknown %s %q (have %v)", noun, n, known)
 		}
 		// Clients see this text: it names exact apart from the sorted
 		// other strategies.

@@ -19,8 +19,9 @@ const ExactMaxVertices = 64
 // the same instance explores the same prefix of the same tree
 // everywhere. Beyond it the search stops and keeps its incumbent
 // (Optimal false), exactly as if the context had been cancelled.
-// Latency-sensitive callers (the service's portfolio race) pass a
-// smaller budget through ExactBudget.
+// Latency-sensitive callers pass a smaller budget through ExactBudget,
+// or to the strategy table's exact entry through WithExactNodes (the
+// service's portfolio race).
 const ExactDefaultNodes = 1 << 18
 
 // ErrEnvelope marks an instance outside Exact's feasibility envelope; as

@@ -102,7 +102,7 @@ type Result = coalesce.Result
 // Run executes a strategy on g with k registers. Any name of the
 // coalescing strategy table runs (see internal/coalesce); ok is false
 // for an unknown name or a strategy that declines the instance.
-func Run(g *Graph, k int, s Strategy) (res *Result, ok bool) {
+func Run(g *Graph, k int, s Strategy) (*Result, bool) {
 	st, found := coalesce.LookupStrategy(string(s))
 	if !found {
 		return nil, false
