@@ -199,7 +199,9 @@ func ChordalIncrementalColoring(g *graph.Graph, x, y graph.V, k int) (graph.Colo
 	for _, v := range dec.Class {
 		p.Union(x, v)
 	}
-	q, old2new, err := graph.Quotient(g, p)
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
+	q, old2new, err := qb.Build(g, p)
 	if err != nil {
 		return nil, false, fmt.Errorf("coalesce: merge class interferes internally: %w", err)
 	}

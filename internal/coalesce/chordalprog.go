@@ -34,8 +34,12 @@ func ChordalProgressive(g *graph.Graph, k int) (*Result, error) {
 	// original-vertex representatives.
 	type extraEdge struct{ a, b graph.V } // original-vertex ids
 	var extras []extraEdge
+	// Every round's working graph is dropped at the next build, so all of
+	// them are built into one pooled buffer.
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
 	build := func() (*graph.Graph, []graph.V, error) {
-		q, old2new, err := graph.Quotient(g, p)
+		q, old2new, err := qb.Build(g, p)
 		if err != nil {
 			return nil, nil, err
 		}

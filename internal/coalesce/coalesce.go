@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"regcoal/internal/graph"
-	"regcoal/internal/greedy"
 )
 
 // Result reports the outcome of a coalescing strategy on a graph.
@@ -54,9 +53,7 @@ func summarize(g *graph.Graph, p *graph.Partition, k, rounds int) *Result {
 		res.RemainingWeight += a.Weight
 	}
 	if k > 0 {
-		if q, _, err := graph.Quotient(g, p); err == nil {
-			res.Colorable = greedy.IsGreedyKColorable(q, k)
-		}
+		res.Colorable = greedyQuotient(g, p, k)
 	}
 	return res
 }
@@ -85,22 +82,31 @@ func affinityOrder(g *graph.Graph) []int {
 
 // state tracks an in-progress coalescing: the partition and the current
 // coalesced graph (quotient), refreshed after each merge. Refreshing is
-// O(V + E + A); the drivers trade that for simplicity and correctness.
+// O(V + E + A) into the state's own pooled buffer, so a driver allocates
+// no graph per merge; release returns the buffer when the driver is done.
 type state struct {
 	g       *graph.Graph
 	p       *graph.Partition
+	qb      *graph.QuotientBuf
 	cur     *graph.Graph
 	old2new []graph.V
 }
 
 func newState(g *graph.Graph) *state {
-	s := &state{g: g, p: graph.NewPartition(g.N())}
+	s := &state{g: g, p: graph.NewPartition(g.N()), qb: graph.AcquireQuotientBuf()}
 	s.refresh()
 	return s
 }
 
+// release returns the quotient buffer to the pool; cur and old2new are
+// invalid afterwards.
+func (s *state) release() {
+	s.qb.Release()
+	s.qb, s.cur, s.old2new = nil, nil, nil
+}
+
 func (s *state) refresh() {
-	q, old2new, err := graph.Quotient(s.g, s.p)
+	q, old2new, err := s.qb.Build(s.g, s.p)
 	if err != nil {
 		// The drivers only union compatible classes, so this is a bug.
 		panic("coalesce: partition became incompatible: " + err.Error())

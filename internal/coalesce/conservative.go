@@ -12,8 +12,8 @@ import (
 // trialPool recycles the scratch partitions the brute-force tests merge
 // on: one trial per probed affinity per round added up to the dominant
 // allocation of TestBrute-driven strategies. CopyFrom reuses the pooled
-// partition's storage, so a warmed pool probes without heap traffic
-// beyond the quotient build.
+// partition's storage and the quotient is built into a pooled
+// graph.QuotientBuf, so a warmed pool probes without heap traffic.
 var trialPool = sync.Pool{New: func() any { return new(graph.Partition) }}
 
 // Test selects the conservative test used to accept or reject a merge.
@@ -200,12 +200,19 @@ func BruteOK(g *graph.Graph, p *graph.Partition, x, y graph.V, k int) bool {
 	trial := trialPool.Get().(*graph.Partition)
 	trial.CopyFrom(p)
 	trial.Union(x, y)
-	q, _, err := graph.Quotient(g, trial)
+	ok := greedyQuotient(g, trial, k)
 	trialPool.Put(trial)
-	if err != nil {
-		return false
-	}
-	return greedy.IsGreedyKColorable(q, k)
+	return ok
+}
+
+// greedyQuotient reports whether the coalesced graph of g by p exists and
+// is greedy-k-colorable, building it into a pooled buffer: the probe
+// throws G_f away, so it need not allocate one.
+func greedyQuotient(g *graph.Graph, p *graph.Partition, k int) bool {
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
+	q, _, err := qb.Build(g, p)
+	return err == nil && greedy.IsGreedyKColorable(q, k)
 }
 
 // BruteSetOK tests coalescing a whole set of affinities simultaneously —
@@ -222,11 +229,7 @@ func BruteSetOK(g *graph.Graph, p *graph.Partition, set []graph.Affinity, k int)
 		}
 		trial.Union(a.X, a.Y)
 	}
-	q, _, err := graph.Quotient(g, trial)
-	if err != nil {
-		return false
-	}
-	return greedy.IsGreedyKColorable(q, k)
+	return greedyQuotient(g, trial, k)
 }
 
 // Conservative coalesces affinities one at a time, highest weight first,
@@ -238,6 +241,7 @@ func BruteSetOK(g *graph.Graph, p *graph.Partition, set []graph.Affinity, k int)
 // family.
 func Conservative(g *graph.Graph, k int, test Test) *Result {
 	s := newState(g)
+	defer s.release()
 	affs := g.Affinities()
 	order := affinityOrder(g)
 	ar := graph.GetArena()

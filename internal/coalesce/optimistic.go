@@ -63,6 +63,9 @@ func OptimisticOrdered(g *graph.Graph, k int, ord DecoalesceOrder) *Result {
 			inSet[i] = true
 		}
 	}
+	// Each round's coalesced graph is read and dropped, so every rebuild
+	// goes into one pooled buffer.
+	qb := graph.AcquireQuotientBuf()
 	rebuild := func() (*graph.Partition, *graph.Graph, []graph.V) {
 		np := graph.NewPartition(g.N())
 		for i, in := range inSet {
@@ -70,7 +73,7 @@ func OptimisticOrdered(g *graph.Graph, k int, ord DecoalesceOrder) *Result {
 				np.Union(affs[i].X, affs[i].Y)
 			}
 		}
-		q, old2new, err := graph.Quotient(g, np)
+		q, old2new, err := qb.Build(g, np)
 		if err != nil {
 			panic("coalesce: optimistic rebuild incompatible: " + err.Error())
 		}
@@ -122,6 +125,7 @@ func OptimisticOrdered(g *graph.Graph, k int, ord DecoalesceOrder) *Result {
 		}
 		inSet[drop] = false
 	}
+	qb.Release()
 	// Phase 3: conservative re-coalescing of given-up moves, heaviest
 	// first, with the brute-force test.
 	var retry []int

@@ -21,6 +21,7 @@ func ConservativeSets(g *graph.Graph, k, maxSet int) *Result {
 		maxSet = 1
 	}
 	s := newState(g)
+	defer s.release()
 	affs := g.Affinities()
 	order := affinityOrder(g)
 	ar := graph.GetArena()

@@ -171,7 +171,9 @@ func KColorableIdentified(g *graph.Graph, x, y graph.V, k int) (graph.Coloring, 
 	}
 	p := graph.NewPartition(g.N())
 	p.Union(x, y)
-	q, old2new, err := graph.Quotient(g, p)
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
+	q, old2new, err := qb.Build(g, p)
 	if err != nil {
 		return nil, false
 	}
@@ -263,8 +265,12 @@ func OptimalCoalescingCtx(ctx context.Context, g *graph.Graph, k int, target Tar
 	for i := len(affs) - 1; i >= 0; i-- {
 		suffix[i] = suffix[i+1] + cost(affs[i], obj)
 	}
+	// Every leaf's coalesced graph is checked and dropped: build them all
+	// into one pooled buffer.
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
 	feasible := func(p *graph.Partition) bool {
-		q, _, err := graph.Quotient(g, p)
+		q, _, err := qb.Build(g, p)
 		if err != nil {
 			return false
 		}

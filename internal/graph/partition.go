@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition is a disjoint-set (union-find) structure over the vertices of a
 // graph. It is the paper's formalization of a coalescing: a coalescing f of
@@ -107,20 +104,58 @@ func (p *Partition) CopyFrom(o *Partition) {
 }
 
 // Classes returns the classes of the partition, each sorted increasingly,
-// ordered by their smallest member.
+// ordered by their smallest member. It runs in O(n) with no map and no
+// sort: the classes are carved from one backing array, each capped at
+// its own length so that appending to one class cannot overwrite the
+// next.
 func (p *Partition) Classes() [][]V {
-	byRoot := make(map[V][]V)
+	n := len(p.parent)
+	members := make([]V, n)
+	offs := p.classify(make([]V, n), members, make([]V, n), nil)
+	classes := make([][]V, len(offs)-1)
+	for c := range classes {
+		classes[c] = members[offs[c]:offs[c+1]:offs[c+1]]
+	}
+	return classes
+}
+
+// classify numbers the classes of p by smallest member and lays them out
+// contiguously: classOf[v] is v's class index, and class c's members are
+// members[offs[c]:offs[c+1]] in increasing order. classOf, members and
+// scratch must have length N(). It returns offs, one element longer than
+// the number of classes, reusing the storage of the offs passed in.
+func (p *Partition) classify(classOf, members, scratch []V, offs []int) []int {
+	// scratch[r] is root r's class index, or -1 before r is first seen.
+	// Scanning vertices in increasing order numbers each class at its
+	// smallest member.
+	for i := range scratch {
+		scratch[i] = -1
+	}
+	nc := 0
 	for i := range p.parent {
 		r := p.Find(V(i))
-		byRoot[r] = append(byRoot[r], V(i))
+		if scratch[r] < 0 {
+			scratch[r] = V(nc)
+			nc++
+		}
+		classOf[i] = scratch[r]
 	}
-	classes := make([][]V, 0, len(byRoot))
-	for _, c := range byRoot {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		classes = append(classes, c)
+	offs = ReuseSlice(offs, nc+1)
+	for _, c := range classOf {
+		offs[c+1]++
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i][0] < classes[j][0] })
-	return classes
+	for c := 0; c < nc; c++ {
+		offs[c+1] += offs[c]
+	}
+	// scratch now holds each class's fill cursor.
+	for c := 0; c < nc; c++ {
+		scratch[c] = V(offs[c])
+	}
+	for i, c := range classOf {
+		members[scratch[c]] = V(i)
+		scratch[c]++
+	}
+	return offs
 }
 
 // Refines reports whether p refines q, i.e. every class of p is contained in

@@ -144,9 +144,9 @@ func ReuseBits(b Bits, n int) Bits {
 
 // ReuseSlice returns a zeroed slice of length n, reusing s's storage
 // when its capacity allows. The companion of ReuseBits for []int, []bool
-// and []V solver state.
+// and []V solver state. The result is never nil, even for n == 0.
 func ReuseSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
+	if s == nil || cap(s) < n {
 		return make([]T, n)
 	}
 	s = s[:n]

@@ -90,7 +90,9 @@ func runCoalescing(g *graph.Graph, k int, mode Mode) *graph.Partition {
 // optimistic (Briggs): they are pushed anyway and often still color.
 func Allocate(g *graph.Graph, k int, mode Mode) (*Result, error) {
 	p := runCoalescing(g, k, mode)
-	q, old2new, err := graph.Quotient(g, p)
+	qb := graph.AcquireQuotientBuf()
+	defer qb.Release()
+	q, old2new, err := qb.Build(g, p)
 	if err != nil {
 		return nil, fmt.Errorf("regalloc: coalescing produced invalid partition: %w", err)
 	}

@@ -16,10 +16,18 @@ import (
 
 // entry is a cached solution in canonical vertex numbering. Entries are
 // immutable once stored: readers render them without locks.
+//
+// The payloads are flat int32 arrays: an entry lives as long as the cache
+// keeps it, so it holds no per-class slice headers and half-width ids.
 type entry struct {
-	classes  [][]int // coalescing classes, canonical ids, sorted
-	coloring []int   // per canonical vertex, nil when absent
-	spilled  []int   // canonical ids (allocate only), sorted
+	// Coalescing classes, canonical ids: class i is
+	// members[classOffs[i]:classOffs[i+1]], sorted, classes ordered by
+	// smallest member; classOffs has one element more than there are
+	// classes. Both are nil on entries without classes (allocate, spill).
+	members   []int32
+	classOffs []int32
+	coloring  []int32 // per canonical vertex, nil when absent
+	spilled   []int32 // canonical ids, sorted; nil when none spilled
 
 	strategy        string
 	coalescedMoves  int
@@ -31,6 +39,17 @@ type entry struct {
 	optimal         bool  // spill endpoint only
 	deadlineHit     bool
 }
+
+// numClasses reports how many coalescing classes e carries.
+func (e *entry) numClasses() int {
+	if len(e.classOffs) == 0 {
+		return 0
+	}
+	return len(e.classOffs) - 1
+}
+
+// class returns class i's canonical members; callers must not modify it.
+func (e *entry) class(i int) []int32 { return e.members[e.classOffs[i]:e.classOffs[i+1]] }
 
 type cacheShard struct {
 	mu    sync.Mutex

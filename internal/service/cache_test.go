@@ -137,3 +137,59 @@ func TestCacheConcurrentStress(t *testing.T) {
 		t.Fatalf("cache overflowed capacity: %d", c.Len())
 	}
 }
+
+// The peer wire format of a cache entry is fixed: a seeded entry must
+// serve exactly the bytes its source peer sent, and CacheSeed keeps
+// exact-size copies rather than the decoder's append slack.
+func TestCacheWireRoundTrip(t *testing.T) {
+	const wire = `{"classes":[[0,3],[1],[2,4,5]],"coloring":[0,1,2,0,1,1],"spilled":[4],"strategy":"brute","coalesced_moves":3,"coalesced_weight":7,"remaining_weight":2,"colorable":true,"spills":1,"spill_cost":5,"optimal":true,"deadline_hit":true}`
+	src, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	e := &entry{
+		members:   []int32{0, 3, 1, 2, 4, 5},
+		classOffs: []int32{0, 2, 3, 6},
+		coloring:  []int32{0, 1, 2, 0, 1, 1},
+		spilled:   []int32{4},
+		strategy:  "brute", coalescedMoves: 3, coalescedWeight: 7, remainingWeight: 2,
+		colorable: true, spills: 1, spillCost: 5, optimal: true, deadlineHit: true,
+	}
+	src.cache.Put("k", e)
+	got, ok := src.CachePeek("k")
+	if !ok || string(got) != wire {
+		t.Fatalf("CachePeek = %s, want %s", got, wire)
+	}
+
+	dst, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.CacheSeed("k", []byte(wire)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := dst.CachePeek("k"); string(got) != wire {
+		t.Fatalf("seeded entry serves %s, want %s", got, wire)
+	}
+	seeded, _ := dst.cache.Get("k")
+	for name, s := range map[string][]int32{"members": seeded.members, "classOffs": seeded.classOffs, "coloring": seeded.coloring, "spilled": seeded.spilled} {
+		if cap(s) != len(s) {
+			t.Errorf("seeded %s has len %d cap %d, want exact size", name, len(s), cap(s))
+		}
+	}
+
+	// Entries without classes or coloring omit them on the wire and stay
+	// nil once seeded, so renderCoalesce still tells "no coloring" apart.
+	const bare = `{"strategy":"aggressive"}`
+	if err := dst.CacheSeed("b", []byte(bare)); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := dst.cache.Get("b"); b.coloring != nil || b.classOffs != nil {
+		t.Fatalf("bare entry seeded with coloring %v classOffs %v, want nil", b.coloring, b.classOffs)
+	}
+	if got, _ := dst.CachePeek("b"); string(got) != bare {
+		t.Fatalf("bare entry serves %s, want %s", got, bare)
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 
 	"regcoal/internal/coalesce"
@@ -27,18 +28,19 @@ func coalesceEntry(f *graph.File, perm []graph.V, res *coalesce.Result, winner s
 		remainingWeight: res.RemainingWeight,
 		colorable:       res.Colorable,
 		deadlineHit:     deadlineHit,
-		classes:         canonClasses(res.P, perm),
 	}
+	e.members, e.classOffs = canonClasses(res.P, perm)
 	if res.Colorable {
-		if q, old2new, err := graph.Quotient(f.G, res.P); err == nil {
+		qb := graph.AcquireQuotientBuf()
+		if q, old2new, err := qb.Build(f.G, res.P); err == nil {
 			if qcol, ok := greedy.Color(q, f.K); ok {
-				lifted := qcol.Lift(old2new)
-				e.coloring = make([]int, len(lifted))
-				for v, c := range lifted {
-					e.coloring[perm[v]] = c
+				e.coloring = make([]int32, len(old2new))
+				for v, qv := range old2new {
+					e.coloring[perm[v]] = int32(qcol[qv])
 				}
 			}
 		}
+		qb.Release()
 	}
 	return e
 }
@@ -51,15 +53,9 @@ func allocateEntry(perm []graph.V, res *regalloc.Result, winner string, deadline
 		remainingWeight: res.RemainingWeight,
 		spills:          len(res.Spilled),
 		deadlineHit:     deadlineHit,
-		coloring:        make([]int, len(res.Coloring)),
+		coloring:        canonColoring(res.Coloring, perm),
+		spilled:         canonSpilled(res.Spilled, perm),
 	}
-	for v, c := range res.Coloring {
-		e.coloring[perm[v]] = c
-	}
-	for _, v := range res.Spilled {
-		e.spilled = append(e.spilled, int(perm[v]))
-	}
-	sort.Ints(e.spilled)
 	return e
 }
 
@@ -71,33 +67,51 @@ func spillEntry(perm []graph.V, plan *spill.Plan, winner string, deadlineHit boo
 		spillCost:   plan.Cost,
 		optimal:     plan.Optimal,
 		deadlineHit: deadlineHit,
-		coloring:    make([]int, len(plan.Coloring)),
+		coloring:    canonColoring(plan.Coloring, perm),
+		spilled:     canonSpilled(plan.Spilled, perm),
 	}
-	for v, c := range plan.Coloring {
-		e.coloring[perm[v]] = c
-	}
-	for _, v := range plan.Spilled {
-		e.spilled = append(e.spilled, int(perm[v]))
-	}
-	sort.Ints(e.spilled)
 	return e
 }
 
-// canonClasses maps partition classes into canonical ids, each class
-// sorted, classes ordered by smallest member.
-func canonClasses(p *graph.Partition, perm []graph.V) [][]int {
-	classes := p.Classes()
-	out := make([][]int, 0, len(classes))
-	for _, cls := range classes {
-		c := make([]int, len(cls))
-		for i, v := range cls {
-			c[i] = int(perm[v])
-		}
-		sort.Ints(c)
-		out = append(out, c)
+// canonColoring moves a request-space coloring to canonical ids.
+func canonColoring(col graph.Coloring, perm []graph.V) []int32 {
+	out := make([]int32, len(col))
+	for v, c := range col {
+		out[perm[v]] = int32(c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// canonSpilled maps spilled vertices to canonical ids, sorted; nil when
+// nothing spilled.
+func canonSpilled(spilled, perm []graph.V) []int32 {
+	var out []int32
+	for _, v := range spilled {
+		out = append(out, int32(perm[v]))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// canonClasses maps partition classes into canonical ids in the flat
+// entry layout: each class sorted, classes ordered by smallest member.
+// Rebuilding the partition over canonical ids makes Classes yield them
+// in exactly that order.
+func canonClasses(p *graph.Partition, perm []graph.V) (members, offs []int32) {
+	cp := graph.NewPartition(len(perm))
+	for v, c := range perm {
+		cp.Union(c, perm[p.Find(graph.V(v))])
+	}
+	classes := cp.Classes()
+	members = make([]int32, 0, len(perm))
+	offs = make([]int32, 1, len(classes)+1)
+	for _, cls := range classes {
+		for _, c := range cls {
+			members = append(members, int32(c))
+		}
+		offs = append(offs, int32(len(members)))
+	}
+	return members, offs
 }
 
 // renderCoalesce maps a canonical-space entry back into the requesting
@@ -107,8 +121,9 @@ func renderCoalesce(f *graph.File, hash string, perm []graph.V, e *entry) *Coale
 	for v, p := range perm {
 		inv[p] = v
 	}
-	classes := make([][]int, 0, len(e.classes))
-	for _, cls := range e.classes {
+	classes := make([][]int, 0, e.numClasses())
+	for k := 0; k < e.numClasses(); k++ {
+		cls := e.class(k)
 		c := make([]int, len(cls))
 		for i, cid := range cls {
 			c[i] = inv[cid]
@@ -134,7 +149,7 @@ func renderCoalesce(f *graph.File, hash string, perm []graph.V, e *entry) *Coale
 	if e.coloring != nil {
 		res.Coloring = make([]int, f.G.N())
 		for v := range res.Coloring {
-			res.Coloring[v] = e.coloring[perm[v]]
+			res.Coloring[v] = int(e.coloring[perm[v]])
 		}
 	}
 	return res
@@ -161,7 +176,7 @@ func renderSpill(f *graph.File, hash string, perm []graph.V, e *entry) *SpillRes
 	}
 	res.Coloring = make([]int, f.G.N())
 	for v := range res.Coloring {
-		res.Coloring[v] = e.coloring[perm[v]]
+		res.Coloring[v] = int(e.coloring[perm[v]])
 	}
 	for _, cid := range e.spilled {
 		res.Spilled = append(res.Spilled, inv[cid])
@@ -190,7 +205,7 @@ func renderAllocate(f *graph.File, hash string, perm []graph.V, e *entry) *Alloc
 	}
 	res.Coloring = make([]int, f.G.N())
 	for v := range res.Coloring {
-		res.Coloring[v] = e.coloring[perm[v]]
+		res.Coloring[v] = int(e.coloring[perm[v]])
 	}
 	for _, cid := range e.spilled {
 		res.Spilled = append(res.Spilled, inv[cid])

@@ -15,9 +15,9 @@ import (
 
 // wireEntry is the JSON shape of a cache entry in flight between nodes.
 type wireEntry struct {
-	Classes  [][]int `json:"classes,omitempty"`
-	Coloring []int   `json:"coloring,omitempty"`
-	Spilled  []int   `json:"spilled,omitempty"`
+	Classes  [][]int32 `json:"classes,omitempty"`
+	Coloring []int32   `json:"coloring,omitempty"`
+	Spilled  []int32   `json:"spilled,omitempty"`
 
 	Strategy        string `json:"strategy"`
 	CoalescedMoves  int    `json:"coalesced_moves,omitempty"`
@@ -39,8 +39,15 @@ func (s *Server) CachePeek(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
+	var classes [][]int32
+	if n := e.numClasses(); n > 0 {
+		classes = make([][]int32, n)
+		for i := range classes {
+			classes[i] = e.class(i)
+		}
+	}
 	data, err := json.Marshal(wireEntry{
-		Classes:         e.classes,
+		Classes:         classes,
 		Coloring:        e.coloring,
 		Spilled:         e.spilled,
 		Strategy:        e.strategy,
@@ -70,10 +77,11 @@ func (s *Server) CacheSeed(key string, data []byte) error {
 	if w.Strategy == "" {
 		return fmt.Errorf("cache seed: entry missing strategy")
 	}
-	s.cache.Put(key, &entry{
-		classes:         w.Classes,
-		coloring:        w.Coloring,
-		spilled:         w.Spilled,
+	// Decoding leaves append slack in every slice; the cached entry keeps
+	// exact-size copies in the flat layout instead.
+	e := &entry{
+		coloring:        clipInt32(w.Coloring),
+		spilled:         clipInt32(w.Spilled),
 		strategy:        w.Strategy,
 		coalescedMoves:  w.CoalescedMoves,
 		coalescedWeight: w.CoalescedWeight,
@@ -83,8 +91,27 @@ func (s *Server) CacheSeed(key string, data []byte) error {
 		spillCost:       w.SpillCost,
 		optimal:         w.Optimal,
 		deadlineHit:     w.DeadlineHit,
-	})
+	}
+	if len(w.Classes) > 0 {
+		e.classOffs = make([]int32, len(w.Classes)+1)
+		for i, c := range w.Classes {
+			e.classOffs[i+1] = e.classOffs[i] + int32(len(c))
+		}
+		e.members = make([]int32, 0, e.classOffs[len(w.Classes)])
+		for _, c := range w.Classes {
+			e.members = append(e.members, c...)
+		}
+	}
+	s.cache.Put(key, e)
 	return nil
+}
+
+// clipInt32 returns an exact-size copy of s, nil when s is nil.
+func clipInt32(s []int32) []int32 {
+	if s == nil {
+		return nil
+	}
+	return append(make([]int32, 0, len(s)), s...)
 }
 
 // CacheContains reports whether key is resident without touching LRU

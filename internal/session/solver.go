@@ -50,8 +50,9 @@ type compResult struct {
 	coalescedMoves int
 	remainingMoves int
 
-	classOf []int // dense class index per local vertex, by smallest member
-	color   []int // register per local vertex, or -1
+	// Per local vertex; int32 halves what the memo retains per vertex.
+	classOf []int32 // dense class index, classes numbered by smallest member
+	color   []int32 // register, or -1
 }
 
 // compSet is a solve's component decomposition: concatenated sorted
@@ -320,29 +321,36 @@ func (s *Session) solveComponent(vs []graph.V, local []int) *compResult {
 		remainingW:     best.RemainingWeight,
 		coalescedMoves: len(best.Coalesced),
 		remainingMoves: len(best.Remaining),
-		classOf:        make([]int, m),
-		color:          make([]int, m),
+		classOf:        make([]int32, m),
+		color:          make([]int32, m),
 	}
-	classIdx := make(map[graph.V]int, m)
+	// classIdx[root] is root's class index, or -1 before its smallest
+	// member is reached.
+	classIdx := make([]int32, m)
+	for i := range classIdx {
+		classIdx[i] = -1
+	}
 	for i := 0; i < m; i++ {
 		root := best.P.Find(graph.V(i))
-		idx, ok := classIdx[root]
-		if !ok {
-			idx = len(classIdx)
-			classIdx[root] = idx
+		if classIdx[root] < 0 {
+			classIdx[root] = int32(r.nclasses)
+			r.nclasses++
 		}
-		r.classOf[i] = idx
+		r.classOf[i] = classIdx[root]
 	}
-	r.nclasses = len(classIdx)
 	for i := range r.color {
 		r.color[i] = graph.NoColor
 	}
 	if best.Colorable {
-		if q, old2new, err := graph.Quotient(cg, best.P); err == nil {
+		qb := graph.AcquireQuotientBuf()
+		if q, old2new, err := qb.Build(cg, best.P); err == nil {
 			if qcol, ok := greedy.Color(q, s.k); ok {
-				copy(r.color, qcol.Lift(old2new))
+				for i, qv := range old2new {
+					r.color[i] = int32(qcol[qv])
+				}
 			}
 		}
+		qb.Release()
 	}
 	return r
 }
@@ -395,8 +403,8 @@ func (s *Session) assemble(ar *graph.Arena, cs *compSet) {
 		s.cur.CoalescedMoves += r.coalescedMoves
 		s.cur.RemainingMoves += r.remainingMoves
 		for j, v := range vs {
-			s.cur.Coloring[v] = r.color[j]
-			s.cur.ClassID[v] = base + r.classOf[j]
+			s.cur.Coloring[v] = int(r.color[j])
+			s.cur.ClassID[v] = base + int(r.classOf[j])
 		}
 		base += r.nclasses
 	}
